@@ -17,7 +17,11 @@ trajectory):
 - batched ``fd`` gradients are >= 3x faster than the PR 1 looped path at
   the paper configuration;
 - the batched engine matches the looped reference to <= 1e-8 for all four
-  methods, real and complex.
+  methods, real and complex;
+- the vectorised adjoint sweep (stacked per-layer GEMMs via the
+  prefix/suffix cross-layer recurrence) is >= 3x faster than the per-gate
+  Python walk for a full gradient, measured on the ``loop`` backend so the
+  looped reference is exactly that walk, and matches it to <= 1e-10.
 
 Run standalone (``PYTHONPATH=src python benchmarks/bench_gradients.py
 [output.json]``) or via pytest (``pytest benchmarks/bench_gradients.py``);
@@ -49,6 +53,10 @@ VARIANTS = ["real", "complex"]
 SPEEDUP_FLOOR = 3.0
 ENGINE_MATCH_TOL = 1e-8
 
+ADJOINT_REPEATS = 30
+ADJOINT_SPEEDUP_FLOOR = 3.0
+ADJOINT_MATCH_TOL = 1e-10
+
 
 def _time(fn: Callable[[], object], repeats: int = 5) -> float:
     """Best-of-``repeats`` wall seconds (one untimed warmup call)."""
@@ -61,9 +69,11 @@ def _time(fn: Callable[[], object], repeats: int = 5) -> float:
     return best
 
 
-def _network(allow_phase: bool, seed: int = 2024) -> QuantumNetwork:
+def _network(
+    allow_phase: bool, seed: int = 2024, backend: str = "fused"
+) -> QuantumNetwork:
     net = QuantumNetwork(
-        PAPER_DIM, PAPER_LAYERS, allow_phase=allow_phase, backend="fused"
+        PAPER_DIM, PAPER_LAYERS, allow_phase=allow_phase, backend=backend
     )
     net.initialize("uniform", rng=np.random.default_rng(seed))
     if allow_phase:
@@ -81,6 +91,37 @@ def _problem(seed: int = 7):
     t = rng.normal(size=(PAPER_DIM, PAPER_M))
     t /= np.linalg.norm(t, axis=0)
     return x, t
+
+
+def _unit_batch(seed: int) -> np.ndarray:
+    x = np.random.default_rng(seed).normal(size=(PAPER_DIM, PAPER_M))
+    return x / np.linalg.norm(x, axis=0)
+
+
+def bench_adjoint() -> Dict:
+    """Full adjoint gradient: vectorised (batched) vs per-gate (looped)."""
+    net = _network(allow_phase=False, seed=11, backend="loop")
+    x, t = _unit_batch(3), _unit_batch(4)
+    grads: Dict[str, np.ndarray] = {}
+    seconds: Dict[str, float] = {}
+    for engine in ENGINES:
+        _, grads[engine] = loss_and_gradient(
+            net, x, t, method="adjoint", engine=engine
+        )
+        seconds[engine] = _time(
+            lambda: loss_and_gradient(
+                net, x, t, method="adjoint", engine=engine
+            ),
+            repeats=ADJOINT_REPEATS,
+        )
+    return {
+        "looped_ms": seconds["looped"] * 1e3,
+        "batched_ms": seconds["batched"] * 1e3,
+        "speedup": seconds["looped"] / seconds["batched"],
+        "speedup_floor": ADJOINT_SPEEDUP_FLOOR,
+        "match": float(np.max(np.abs(grads["batched"] - grads["looped"]))),
+        "match_tol": ADJOINT_MATCH_TOL,
+    }
 
 
 def bench_engines() -> List[Dict]:
@@ -154,7 +195,7 @@ def run_benchmarks() -> Dict:
         / seconds(variant, method, "batched")
         for variant in VARIANTS
         for method in GRADIENT_METHODS
-        if method != "adjoint"  # adjoint ignores the engine choice
+        if method != "adjoint"  # gated separately by bench_adjoint()
     }
     worst_match = max(
         r["max_abs_diff_vs_looped"] for r in rows if r["kind"] == "engine_match"
@@ -167,6 +208,7 @@ def run_benchmarks() -> Dict:
             "compressed_dim": PAPER_COMPRESSED,
         },
         "rows": rows,
+        "adjoint": bench_adjoint(),
         "summary": {
             "fd_gradient_speedup_batched_vs_looped": speedups["real_fd"],
             "engine_speedups": speedups,
@@ -190,17 +232,21 @@ def _emit(payload: Dict, path: str | None) -> None:
 def _gates_pass(payload: Dict) -> bool:
     """The full gate set — shared by the pytest and CLI entry points."""
     summary = payload["summary"]
+    adjoint = payload["adjoint"]
     return (
         summary["fd_gradient_speedup_batched_vs_looped"] >= SPEEDUP_FLOOR
         # The complex network must accelerate too (phases double P).
         and summary["engine_speedups"]["complex_fd"] >= SPEEDUP_FLOOR
         and summary["engine_match_worst"] <= ENGINE_MATCH_TOL
+        and adjoint["speedup"] >= ADJOINT_SPEEDUP_FLOOR
+        and adjoint["match"] <= ADJOINT_MATCH_TOL
     )
 
 
 def test_gradient_engine_benchmark():
     """Perf-trajectory gate: batched >= 3x on fd (real and complex),
-    engine match <= 1e-8 everywhere."""
+    engine match <= 1e-8 everywhere, vectorised adjoint >= 3x the
+    per-gate walk."""
     payload = run_benchmarks()
     print()
     _emit(payload, os.environ.get("BENCH_GRADIENTS_JSON"))

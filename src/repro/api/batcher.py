@@ -304,13 +304,15 @@ class MicroBatcher:
                 future.set_exception(exc)
             return 0
         seconds = time.perf_counter() - t0
-        for i, future in live:
-            future.set_result(out[i])
+        # Count before resolving: a caller that reads stats() after its
+        # result must see its own request served.
         with self._lock:
             self._served += len(live)
             self._ticks += 1
             self._largest_tick = max(self._largest_tick, len(alive))
             self._flush_hist.record(seconds)
+        for i, future in live:
+            future.set_result(out[i])
         return len(live)
 
     def __repr__(self) -> str:

@@ -4,7 +4,7 @@ Before this module existed the knobs of the paper's pipeline were split
 between two surfaces: the *network* knobs (``dim``, ``compressed_dim``,
 layer counts, ``allow_phase``, ``renormalize``, the projection) lived in
 ``QuantumAutoencoder``'s constructor, while the *execution* knobs
-(``backend``, ``grad_engine``, gradient method, optimizer, loss mode)
+(``backend``, gradient method, optimizer, loss mode)
 lived in :class:`~repro.experiments.config.PaperConfig` and ``Trainer``
 keyword arguments.  ``CodecSpec`` unifies both into one frozen, hashable,
 JSON-round-trippable dataclass; :class:`~repro.api.codec.Codec` is
@@ -64,7 +64,6 @@ class CodecSpec:
 
     # -- execution / training ------------------------------------------
     backend: str = "loop"
-    grad_engine: str = "batched"
     gradient_method: str = "adjoint"
     optimizer: OptimizerName = "momentum"
     learning_rate: float = 0.01
@@ -202,13 +201,9 @@ class CodecSpec:
         # Registry-backed names validate against their single source of
         # truth; Projection re-checks index bounds.
         from repro.backends import validate_backend_name
-        from repro.training.gradients import (
-            validate_gradient_engine,
-            available_gradient_methods,
-        )
+        from repro.training.gradients import available_gradient_methods
 
         validate_backend_name(self.backend, NetworkConfigError)
-        validate_gradient_engine(self.grad_engine, NetworkConfigError)
         if self.gradient_method not in available_gradient_methods():
             raise NetworkConfigError(
                 f"unknown gradient method {self.gradient_method!r}; "
@@ -233,15 +228,19 @@ class CodecSpec:
         """Rebuild a spec from :meth:`to_dict` output.
 
         Unknown keys are rejected (a checkpoint from a newer format should
-        fail loudly, not half-load).
+        fail loudly, not half-load).  The one exception is the retired
+        ``grad_engine`` key, which older archives carry and which is
+        dropped whatever its value: training always runs the batched
+        gradient drive now.
         """
+        kwargs = dict(data)
+        kwargs.pop("grad_engine", None)
         known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(kwargs) - known
         if unknown:
             raise NetworkConfigError(
                 f"unknown CodecSpec fields {sorted(unknown)}"
             )
-        kwargs = dict(data)
         if kwargs.get("projection") is not None:
             kwargs["projection"] = tuple(kwargs["projection"])
         return cls(**kwargs)
@@ -306,7 +305,6 @@ class CodecSpec:
             learning_rate=self.learning_rate,
             gradient_method=self.gradient_method,
             backend=self.backend,
-            grad_engine=self.grad_engine,
             optimizer_factory=self.build_optimizer,
             trace_sample=trace_sample,
             record_theta_every=record_theta_every,
@@ -346,7 +344,6 @@ class CodecSpec:
             reconstruction_layers=config.reconstruction_layers,
             allow_phase=config.allow_phase,
             backend=config.backend,
-            grad_engine=config.grad_engine,
             gradient_method=config.gradient_method,
             optimizer=config.optimizer,
             learning_rate=config.learning_rate,

@@ -7,7 +7,7 @@ backend and notifies it via :meth:`Backend.invalidate` when parameters
 change, so backends may cache parameter-derived artefacts (fused unitaries,
 prefix/suffix products) between calls.
 
-Five backends ship with the package:
+Four backends ship with the package:
 
 ``"loop"``
     :class:`~repro.backends.loop.LoopBackend` — the bit-exact reference:
@@ -17,26 +17,21 @@ Five backends ship with the package:
     network as one ``N x N`` unitary (cached per parameter set) and applies
     it as a single GEMM; also provides the prefix/suffix gradient workspace
     used to accelerate the ``fd``/``central``/``derivative`` methods.
-``"numba"``
-    :class:`~repro.backends.jit.JitBackend` — the gate loop lowered to
-    machine code: numba ``@njit(cache=True)`` kernels run the compiled
-    program directly (forward, inverse, tape, adjoint sweep).  Soft
-    dependency: registers unconditionally but raises a clear
-    :class:`BackendError` at construction when numba is not installed.
 ``"jax"``
     :class:`~repro.backends.jax.JaxBackend` — the program lowered to
     XLA: a ``jax.lax.scan``-ned Givens sweep folds the unitary once per
     parameter set, batches go through a ``vmap``-ped contraction, and
     the adjoint tape/sweep pair runs jitted (float64 via
-    ``jax_enable_x64``).  Soft dependency like numba: always
-    registered, clear :class:`BackendError` install hint without jax.
+    ``jax_enable_x64``).  Soft dependency: registers unconditionally
+    but raises a clear :class:`BackendError` install hint at
+    construction when jax is not installed.
 ``"sharded"``
     :class:`~repro.backends.sharded.ShardedBackend` — scatters wide
     ``(N, M)`` batches over a persistent multi-process
     :class:`~repro.parallel.pool.WorkerPool` in column shards, one fused
     GEMM per worker; small batches fall through to an in-process delegate
-    (fused by default, ``"sharded:K:numba"`` / ``"sharded:K:jax"``
-    select the jitted backends for workers and delegate alike).
+    (fused by default, ``"sharded:K:jax"`` selects the XLA backend for
+    workers and delegate alike).
 
 Select a backend at construction (``QuantumNetwork(..., backend="fused")``)
 or later via ``set_backend``; experiment configs and the CLI expose the same
@@ -86,8 +81,8 @@ class Backend(abc.ABC):
     #: Whether the backend provides compiled adjoint kernels — an
     #: ``adjoint_tape(inputs) -> (output, row_tape)`` / ``adjoint_sweep
     #: (tape, lam) -> grad`` pair the adjoint gradient method drives
-    #: instead of its numpy vectorised sweep (the ``"numba"`` and
-    #: ``"jax"`` backends set this).
+    #: instead of its numpy vectorised sweep (the ``"jax"`` backend
+    #: sets this).
     supports_adjoint_kernels: bool = False
 
     #: How to install the backend's optional dependency, or ``None``
@@ -245,14 +240,14 @@ def register_backend(cls: Type[Backend]) -> Type[Backend]:
 def available_backends() -> List[str]:
     """Names accepted by :func:`make_backend` / ``set_backend``.
 
-    Registration is availability-independent: ``"numba"`` is always
-    listed, so selecting it without numba installed fails with that
+    Registration is availability-independent: ``"jax"`` is always
+    listed, so selecting it without jax installed fails with that
     backend's own install hint instead of "unknown backend".
 
     Examples
     --------
     >>> available_backends()
-    ['fused', 'jax', 'loop', 'numba', 'sharded']
+    ['fused', 'jax', 'loop', 'sharded']
     """
     return sorted(_REGISTRY)
 
@@ -297,7 +292,7 @@ def _resolve_spec_string(spec: str, error_cls: Type[Exception]) -> Backend:
         # Re-raise under the caller's error class (config layers pass
         # e.g. ExperimentError) without losing the parse message — or
         # the construction-time message of an unavailable backend
-        # (selecting "numba" without numba installed).
+        # (selecting "jax" without jax installed).
         if error_cls is BackendError:
             raise
         raise error_cls(str(exc)) from None
@@ -324,7 +319,7 @@ def make_backend(spec: Union[str, Backend, Type[Backend]]) -> Backend:
     Traceback (most recent call last):
         ...
     repro.exceptions.BackendError: unknown backend 'quantum-annealer'; \
-available: ['fused', 'jax', 'loop', 'numba', 'sharded']
+available: ['fused', 'jax', 'loop', 'sharded']
     >>> make_backend("loop:3")
     Traceback (most recent call last):
         ...

@@ -1,8 +1,6 @@
 """XLA-compiled execution: the ``"jax"`` backend.
 
-Where the ``numba`` backend owns *single-sample* latency (a compiled
-per-gate loop beats the fused GEMM's bookkeeping at ``M = 1``), this
-backend targets the other end of the batch axis: the compiled
+This backend targets the wide end of the batch axis: the compiled
 :class:`~repro.backends.program.GateProgram` is lowered once to a
 ``jax.lax.scan``-ned Givens-rotation sweep (phase-free and
 phase-bearing, float64 via ``jax_enable_x64``, forward and inverse) that
@@ -33,8 +31,8 @@ repeated :class:`~repro.api.codec.Codec` / ``QuantumNetwork`` instances
 of the same architecture share one compiled executable and never
 retrace.  See ``docs/backends.md`` for the full contract.
 
-**Invalidation contract.**  Like the numba backend, parameter tables and
-the folded device-side unitary are trusted until
+**Invalidation contract.**  Parameter tables and the folded device-side
+unitary are trusted until
 :meth:`~repro.backends.base.Backend.invalidate` (``set_flat_params``
 sends one); code that writes ``layer.thetas`` in place must call
 ``network.backend.invalidate()`` explicitly.

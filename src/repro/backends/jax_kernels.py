@@ -34,8 +34,9 @@ the batch axis — one fused XLA contraction whose throughput scales with
 width, with no per-call parameter re-validation (the numpy fused
 backend's overhead).  The adjoint pair (:func:`kernels` entries
 ``tape_*`` / ``adjoint_*``) runs the scanned sweep directly over the
-``(N, M)`` batch, recording the pre-gate rows exactly like the numba
-tape kernels, and the reverse scan reads the theta (and alpha)
+``(N, M)`` batch, recording the pre-gate rows exactly like
+:meth:`~repro.network.quantum_network.QuantumNetwork.forward_trace`,
+and the reverse scan reads the theta (and alpha)
 gradients off the tape while pulling the adjoint back through
 ``G^dagger``.
 """
@@ -142,7 +143,8 @@ def _build():
     # Reverse scan over the same gate columns: per gate the theta (and
     # alpha) gradient is Re <lam, dG (r0, r1)> read off the tape rows,
     # then lam is pulled back through G^dagger — formula-for-formula the
-    # numba kernels (jit_kernels.py), vectorised over the batch axis.
+    # looped reference walk in training/gradients.py, vectorised over
+    # the batch axis.
 
     def _adjoint_real(modes, theta_pos, c, s, tape, lam):
         def body(lam, gate):

@@ -18,21 +18,19 @@ the :class:`~repro.backends.base.Backend` protocol on top of
   pays scatter overhead), which also serves the prefix/suffix gradient
   workspace, so training on the ``sharded`` backend gets cached-speed
   gradients for free.  The delegate is ``"fused"`` by default;
-  ``"numba"`` selects the jitted compiled-kernel backend
-  (:mod:`repro.backends.jit`) for the workers and the narrow-batch
-  fallback alike;
+  ``"jax"`` selects the XLA backend (:mod:`repro.backends.jax`) for
+  the workers and the narrow-batch fallback alike;
 - worker processes spawn lazily on the first wide batch and are shared
   by every :meth:`spawn`-ed sibling (``QuantumAutoencoder`` runs ``U_C``
   and ``U_R`` on one pool), pinned to single-threaded BLAS.
 
 Registry spellings: ``"sharded"`` (affinity-derived worker count,
 fused delegate), ``"sharded:K"`` (exactly ``K`` workers) and
-``"sharded[:K]:numba"`` / ``"sharded[:K]:jax"`` / ``"sharded[:K]:fused"``
-(explicit delegate; the worker count and delegate may appear in either
-order), accepted
+``"sharded[:K]:jax"`` / ``"sharded[:K]:fused"`` (explicit delegate; the
+worker count and delegate may appear in either order), accepted
 everywhere a backend name is (``QuantumNetwork(...,
 backend="sharded:4")``, ``CodecSpec``, ``Trainer``, ``--backend
-sharded:4:numba``).
+sharded:4:jax``).
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ DEFAULT_MIN_SHARD_COLUMNS = 1024
 
 #: In-process backends a shard worker (and the narrow-batch fallback)
 #: may run; all compile the program once and serve gradient workspaces.
-SHARD_DELEGATES = ("fused", "numba", "jax")
+SHARD_DELEGATES = ("fused", "jax")
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +145,7 @@ class ShardedBackend(Backend):
     delegate:
         In-process backend for narrow batches and gradient workspaces,
         and the backend each worker compiles for its shards —
-        ``"fused"`` (default), ``"numba"`` or ``"jax"``.  Selecting a
+        ``"fused"`` (default) or ``"jax"``.  Selecting a
         soft-dependency delegate without its package installed raises
         here, in the parent process.
 
@@ -194,7 +192,7 @@ class ShardedBackend(Backend):
         )
         # In-process delegate: narrow batches, gradient workspaces and
         # unitary inspection all run here, bound to the same network.
-        # Built eagerly so an unavailable delegate (numba not installed)
+        # Built eagerly so an unavailable delegate (jax not installed)
         # fails at selection time with its own install hint.
         self._local = make_backend(delegate)
 
@@ -204,10 +202,9 @@ class ShardedBackend(Backend):
 
         ``arg`` is everything after the first colon, itself
         colon-separated: at most one integer worker count and at most
-        one delegate name (``fused``/``numba``/``jax``), in either
-        order —
-        ``"sharded:4"``, ``"sharded:numba"``, ``"sharded:4:numba"`` and
-        ``"sharded:numba:4"`` all parse.
+        one delegate name (``fused``/``jax``), in either order —
+        ``"sharded:4"``, ``"sharded:jax"``, ``"sharded:4:jax"`` and
+        ``"sharded:jax:4"`` all parse.
         """
         workers: Optional[int] = None
         delegate: Optional[str] = None
@@ -338,9 +335,8 @@ class ShardedBackend(Backend):
 
     @property
     def supports_adjoint_kernels(self) -> bool:  # type: ignore[override]
-        """Adjoint kernels come from the delegate: ``sharded[:K]:numba``
-        and ``sharded[:K]:jax`` serve fully jitted tape/sweep pairs,
-        fused delegates do not."""
+        """Adjoint kernels come from the delegate: ``sharded[:K]:jax``
+        serves jitted tape/sweep pairs, fused delegates do not."""
         return self._local.supports_adjoint_kernels
 
     def adjoint_tape(self, data: np.ndarray):

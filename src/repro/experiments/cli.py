@@ -52,10 +52,6 @@ import numpy as np
 from repro.backends import available_backends, validate_backend_name
 from repro.exceptions import ReproError, SerializationError
 from repro.experiments import ablations
-from repro.training.gradients import (
-    DEFAULT_GRADIENT_ENGINE,
-    available_gradient_engines,
-)
 from repro.experiments.config import PaperConfig
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.fig5 import run_fig5
@@ -168,29 +164,16 @@ def build_parser() -> argparse.ArgumentParser:
             "caches the\n"
             "                 network unitary and the prefix/suffix gradient "
             "workspace;\n"
-            "                 'numba' runs the gate loop as jitted compiled "
-            "kernels\n"
-            "                 (optional dependency: pip install numba); "
-            "'jax' lowers the\n"
-            "                 program to XLA with vmapped batches and jitted "
-            "adjoints\n"
-            "                 (optional dependency: pip install jax); "
-            "'sharded[:K][:numba|:jax]'\n"
-            "                 scatters wide (N, M) batches over K worker "
-            "processes\n"
-            "                 (shared-memory column shards; see "
+            "                 'jax' lowers the program to XLA with vmapped "
+            "batches and\n"
+            "                 jitted adjoints (optional dependency: pip "
+            "install jax);\n"
+            "                 'sharded[:K][:jax]' scatters wide (N, M) batches "
+            "over K worker\n"
+            "                 processes (shared-memory column shards; see "
             "docs/sharding.md).\n"
             "                 'repro backends' lists availability and "
             "install hints.\n"
-            "  --grad-engine  how gradients are driven: 'batched' (default) "
-            "stacks each\n"
-            "                 layer's parameter perturbations into single "
-            "einsums and runs\n"
-            "                 the adjoint sweep vectorised (jitted on "
-            "--backend numba);\n"
-            "                 'looped' is the one-parameter/one-gate "
-            "bit-exact reference.\n"
-            "                 See docs/gradients.md.\n"
         ),
     )
     parser.add_argument(
@@ -218,21 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
             help=(
                 "execution backend: 'loop' is the bit-exact reference, "
                 "'fused' caches the network unitary and prefix/suffix "
-                "gradient products (fast), 'numba' jit-compiles the gate "
-                "loop (needs the optional numba package), 'jax' runs it "
+                "gradient products (fast), 'jax' runs the gate sweep "
                 "under XLA with a fused jitted train step (needs the "
                 "optional jax package), 'sharded[:K]' scatters wide "
                 "batches over K worker processes"
-            ),
-        )
-        p.add_argument(
-            "--grad-engine",
-            choices=available_gradient_engines(),
-            default=DEFAULT_GRADIENT_ENGINE,
-            help=(
-                "gradient workspace drive: 'batched' stacks a layer's "
-                "perturbations into one einsum, 'looped' is the "
-                "per-parameter reference (see epilog)"
             ),
         )
         p.add_argument("--output", type=str, default=None,
@@ -439,7 +411,6 @@ def _config_from_args(args: argparse.Namespace) -> PaperConfig:
         optimizer=args.optimizer,
         gradient_method=args.gradient,
         backend=args.backend,
-        grad_engine=args.grad_engine,
     )
 
 
@@ -482,7 +453,6 @@ def _run_train(args: argparse.Namespace) -> dict:
         renormalize=args.renormalize,
         allow_phase=args.allow_phase,
         backend=args.backend,
-        grad_engine=args.grad_engine,
         gradient_method=args.gradient,
         optimizer=args.optimizer,
         iterations=args.iterations,
@@ -672,7 +642,7 @@ def _run_decompress_image(args: argparse.Namespace) -> dict:
 def _run_backends(args: argparse.Namespace) -> dict:
     """Print each registered backend's availability and install hint.
 
-    A missing soft dependency (numba, jax) otherwise only surfaces as a
+    A missing soft dependency (jax) otherwise only surfaces as a
     ``BackendError`` when the backend is first selected; this makes the
     situation inspectable up front (and scriptable via ``--output``).
     """

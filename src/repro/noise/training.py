@@ -77,7 +77,6 @@ def _noise_shard_task(payload: Tuple) -> List[Tuple[float, np.ndarray]]:
         keep,
         method,
         delta,
-        engine,
         sigma,
         num_thetas,
         seed,
@@ -107,7 +106,6 @@ def _noise_shard_task(payload: Tuple) -> List[Tuple[float, np.ndarray]]:
                     projection=projection,
                     method=method,
                     delta=delta,
-                    engine=engine,
                 )
             )
     finally:
@@ -129,7 +127,6 @@ def noisy_loss_and_gradient(
     projection=None,
     method: str = "adjoint",
     delta: Optional[float] = None,
-    engine: Optional[str] = None,
     reducer=None,
 ) -> Tuple[float, np.ndarray]:
     """``(E_r[loss], E_r[grad])`` over ``K = trajectories`` realizations.
@@ -146,7 +143,7 @@ def noisy_loss_and_gradient(
     K = int(trajectories)
     if K < 1:
         raise NoiseError(f"noise_trajectories must be >= 1, got {trajectories!r}")
-    from repro.parallel.reducer import tree_reduce
+    from repro.parallel.reducer import _worker_struct, tree_reduce
     from repro.training.gradients import loss_and_gradient
 
     if model.theta_sigma <= 0.0:
@@ -159,7 +156,6 @@ def noisy_loss_and_gradient(
                 projection=projection,
                 method=method,
                 delta=delta,
-                engine=engine,
             )
         return loss_and_gradient(
             network,
@@ -169,20 +165,13 @@ def noisy_loss_and_gradient(
             projection=projection,
             method=method,
             delta=delta,
-            engine=engine,
         )
 
     pairs: List[Tuple[float, np.ndarray]]
     if reducer is not None and reducer.num_workers > 1 and K > 1:
         from repro.parallel.sharding import plan_shards
 
-        struct = (
-            network.dim,
-            network.num_layers,
-            network.descending,
-            network.allow_phase,
-            reducer._delegate_for(network),
-        )
+        struct = _worker_struct(network)
         params = network.get_flat_params()
         keep = (
             None
@@ -202,7 +191,6 @@ def noisy_loss_and_gradient(
                 keep,
                 method,
                 delta,
-                engine,
                 model.theta_sigma,
                 network.num_thetas,
                 int(seed),
@@ -240,7 +228,6 @@ def noisy_loss_and_gradient(
                         projection=projection,
                         method=method,
                         delta=delta,
-                        engine=engine,
                     )
                 )
         finally:

@@ -35,10 +35,9 @@ the method's rounding floor (``<= 1e-10`` gated by
 ``benchmarks/bench_training.py``).
 
 Workers rebuild each network once from a structure tuple (the
-``backends/sharded.py`` idiom) on an in-process delegate backend
-(``fused``, or ``numba`` when the parent trains on it) and refresh
-parameters only when they change, so a training loop pays compile costs
-once, not per iteration.
+``backends/sharded.py`` idiom) on the in-process ``fused`` backend and
+refresh parameters only when they change, so a training loop pays
+compile costs once, not per iteration.
 """
 
 from __future__ import annotations
@@ -57,9 +56,6 @@ __all__ = [
     "validate_parallel_spec",
     "resolve_parallel_workers",
 ]
-
-#: In-worker delegate backends (compile once, serve gradient workspaces).
-_REDUCER_DELEGATES = ("fused", "numba")
 
 #: Shard axis spellings accepted by :meth:`GradientReducer.loss_and_gradient`.
 _SHARD_MODES = ("batch", "params")
@@ -146,22 +142,32 @@ def tree_reduce(values: Sequence):
 # worker side (module-level: picklable by reference)
 # ----------------------------------------------------------------------
 #: Per-worker-process cache of rebuilt networks keyed by structure;
-#: one entry per distinct (dim, layers, order, phase, delegate).
+#: one entry per distinct (dim, layers, order, phase).
 _WORKER_NETWORKS: dict = {}
 
 
-def _worker_network(struct: Tuple[int, int, bool, bool, str]):
+def _worker_struct(network) -> Tuple[int, int, bool, bool]:
+    """The picklable structure a worker rebuilds ``network`` from."""
+    return (
+        network.dim,
+        network.num_layers,
+        network.descending,
+        network.allow_phase,
+    )
+
+
+def _worker_network(struct: Tuple[int, int, bool, bool]):
     net = _WORKER_NETWORKS.get(struct)
     if net is None:
         from repro.network.quantum_network import QuantumNetwork
 
-        dim, num_layers, descending, allow_phase, delegate = struct
+        dim, num_layers, descending, allow_phase = struct
         net = QuantumNetwork(
             dim,
             num_layers,
             descending=descending,
             allow_phase=allow_phase,
-            backend=delegate,
+            backend="fused",
         )
         _WORKER_NETWORKS[struct] = net
     return net
@@ -177,9 +183,7 @@ def _worker_projection(dim: int, keep: Optional[Tuple[int, ...]]):
 
 def _batch_shard_task(payload: Tuple) -> Tuple[float, np.ndarray]:
     """One column shard's ``(loss, grad)`` through the full engine stack."""
-    (struct, params, inputs, targets, loss, keep, method, delta, engine) = (
-        payload
-    )
+    (struct, params, inputs, targets, loss, keep, method, delta) = payload
     from repro.training.gradients import loss_and_gradient
 
     net = _worker_network(struct)
@@ -193,7 +197,6 @@ def _batch_shard_task(payload: Tuple) -> Tuple[float, np.ndarray]:
         projection=_worker_projection(struct[0], keep),
         method=method,
         delta=delta,
-        engine=engine,
     )
 
 
@@ -214,7 +217,6 @@ def _param_shard_task(payload: Tuple) -> Tuple[float, np.ndarray]:
         keep,
         method,
         delta,
-        engine,
         lo,
         hi,
     ) = payload
@@ -241,19 +243,6 @@ def _param_shard_task(payload: Tuple) -> Tuple[float, np.ndarray]:
     base = _project_and_eval(
         ws.base_output.copy(), targets, loss, projection
     )
-    if engine == "looped":
-        for i in range(lo, hi):
-            plus = _project_and_eval(
-                ws.perturbed_output(i, delta), targets, loss, projection
-            )
-            if central:
-                minus = _project_and_eval(
-                    ws.perturbed_output(i, -delta), targets, loss, projection
-                )
-                grad[i - lo] = (plus - minus) / (2.0 * delta)
-            else:
-                grad[i - lo] = (plus - base) / delta
-        return base, grad
     for idx in ws.param_chunks():
         sub = idx[(idx >= lo) & (idx < hi)]
         if not sub.size:
@@ -362,15 +351,6 @@ class GradientReducer:
     # the parallel loss_and_gradient
     # ------------------------------------------------------------------
     @staticmethod
-    def _delegate_for(network) -> str:
-        """In-worker backend mirroring the parent's execution choice."""
-        backend = getattr(network, "backend", None)
-        name = getattr(backend, "delegate_name", None) or getattr(
-            backend, "name", None
-        )
-        return name if name in _REDUCER_DELEGATES else "fused"
-
-    @staticmethod
     def _default_shard(method: str) -> str:
         """fd/central difference per-shard base losses under batch
         sharding (cancellation noise ``~ulp(loss)/delta``), so they shard
@@ -386,7 +366,6 @@ class GradientReducer:
         projection=None,
         method: str = "adjoint",
         delta: Optional[float] = None,
-        engine: Optional[str] = None,
         shard: Optional[str] = None,
     ) -> Tuple[float, np.ndarray]:
         """Parallel ``(loss, dL/dparams)``; same contract as the
@@ -402,7 +381,6 @@ class GradientReducer:
             _DEFAULT_DELTAS,
             available_gradient_methods,
             loss_and_gradient,
-            validate_gradient_engine,
         )
         from repro.training.loss import SquaredErrorLoss
 
@@ -424,7 +402,6 @@ class GradientReducer:
             )
         if loss is None:
             loss = SquaredErrorLoss(reduction="mean")
-        eng = validate_gradient_engine(engine)
         arr = np.ascontiguousarray(inputs)
         tgt = np.ascontiguousarray(targets)
         num_columns = arr.shape[1] if arr.ndim == 2 else 0
@@ -442,15 +419,8 @@ class GradientReducer:
                 projection=projection,
                 method=key,
                 delta=delta,
-                engine=eng,
             )
-        struct = (
-            network.dim,
-            network.num_layers,
-            network.descending,
-            network.allow_phase,
-            self._delegate_for(network),
-        )
+        struct = _worker_struct(network)
         params = network.get_flat_params()
         keep = (
             None
@@ -462,7 +432,7 @@ class GradientReducer:
                 _DEFAULT_DELTAS[key] if delta is None else float(delta)
             )
             payloads = [
-                (struct, params, arr, tgt, loss, keep, key, step, eng,
+                (struct, params, arr, tgt, loss, keep, key, step,
                  s.start, s.stop)
                 for s in shards
             ]
@@ -475,7 +445,7 @@ class GradientReducer:
             (struct, params,
              np.ascontiguousarray(arr[:, s.slice]),
              np.ascontiguousarray(tgt[:, s.slice]),
-             loss, keep, key, delta, eng)
+             loss, keep, key, delta)
             for s in shards
         ]
         results = self.pool.map(_batch_shard_task, payloads)
@@ -504,7 +474,6 @@ class GradientReducer:
         projection=None,
         method: str = "adjoint",
         delta: Optional[float] = None,
-        engine: Optional[str] = None,
     ) -> Tuple[float, np.ndarray]:
         """Noise-averaged ``(loss, grad)``: realizations sharded over the pool.
 
@@ -532,6 +501,5 @@ class GradientReducer:
             projection=projection,
             method=method,
             delta=delta,
-            engine=engine,
             reducer=self,
         )

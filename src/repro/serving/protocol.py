@@ -30,6 +30,7 @@ shapes/dtypes), so a ``CompressedBatch`` survives the socket unchanged.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -199,16 +200,23 @@ def decode_arrays(payload: bytes) -> List[np.ndarray]:
             for i in range(ndim)
         )
         offset += ndim * _DIM.size
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        if nbytes < 0 or len(payload) < offset + nbytes:
+        # Exact integer product: a 64-bit one wraps for shapes like
+        # (2**16,) * 4 and would let an empty body pass the check.
+        size = math.prod(shape)
+        nbytes = size * dtype.itemsize
+        if len(payload) < offset + nbytes:
             raise ProtocolError(
                 f"array body truncated: need {nbytes} bytes for shape "
                 f"{shape}, have {len(payload) - offset}"
             )
-        arr = np.frombuffer(
-            payload, dtype=dtype, count=int(np.prod(shape, dtype=np.int64)),
-            offset=offset,
-        ).reshape(shape)
+        try:
+            arr = np.frombuffer(
+                payload, dtype=dtype, count=size, offset=offset
+            ).reshape(shape)
+        except ValueError as exc:  # numpy's limits on ndim and extent
+            raise ProtocolError(
+                f"unrepresentable array shape {shape}: {exc}"
+            ) from None
         out.append(arr.copy())  # decouple from the receive buffer
         offset += nbytes
     if offset != len(payload):

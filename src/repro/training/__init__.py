@@ -28,7 +28,6 @@ from repro.training.gradients import (
     GradientEngine,
     GradientMethod,
     loss_and_gradient,
-    available_gradient_engines,
     available_gradient_methods,
 )
 from repro.training.optimizers import (
@@ -77,7 +76,6 @@ __all__ = [
     "GradientEngine",
     "GradientMethod",
     "loss_and_gradient",
-    "available_gradient_engines",
     "available_gradient_methods",
     "Optimizer",
     "GradientDescent",

@@ -23,14 +23,13 @@ against target amplitudes:
     instead of ``O(P^2)``) and is bit-identical to ``"derivative"`` up
     to rounding.  Supports complex (``allow_phase``) networks: the sweep
     pulls the adjoint back through ``G^dagger`` and reads off both the
-    ``theta`` and ``alpha`` gradients from the same tape.  Since the jit
-    PR the sweep is *vectorised* by default (``engine="batched"``):
-    stacked per-layer GEMMs via the prefix/suffix workspace's
-    cross-layer recurrence on any backend, or the fully compiled
-    tape/sweep kernel pair on the ``numba`` backend; the per-gate Python
+    ``theta`` and ``alpha`` gradients from the same tape.  The sweep is
+    *vectorised*: stacked per-layer GEMMs via the prefix/suffix
+    workspace's cross-layer recurrence on any backend, or the jitted
+    tape/sweep kernel pair on the ``jax`` backend; the per-gate Python
     walk over :meth:`QuantumNetwork.forward_trace` remains as the
-    ``engine="looped"`` reference (``benchmarks/bench_jit.py`` gates the
-    vectorised sweep at >= 3x over it).
+    ``engine="looped"`` reference (``benchmarks/bench_gradients.py``
+    gates the vectorised sweep at >= 3x over it).
 
 All methods share the signature of :func:`loss_and_gradient`; the trainer
 selects by name so benchmarks can ablate the choice (exp id ``abl-grad``).
@@ -47,8 +46,9 @@ rounding floor (exactly for ``derivative``; within the finite-difference
 cancellation noise ``~ulp(loss)/delta`` for ``fd``/``central``).  The
 ``"loop"`` backend always takes the bit-exact re-execution path.
 
-**Engines.**  The workspace-backed methods come in two drive modes,
-selected by ``engine`` (CLI ``--grad-engine``):
+**Engines.**  Every production caller (trainer, reducer, codec) runs
+the batched drive; the looped drive is the reference oracle that tests
+and benchmarks select through ``loss_and_gradient(engine="looped")``:
 
 ``"batched"`` (default)
     Stacks all of a layer's parameter perturbations into single einsums
@@ -61,15 +61,14 @@ selected by ``engine`` (CLI ``--grad-engine``):
     The reference drive: one parameter at a time through the same
     workspace, and the per-gate tape walk for ``adjoint``.  Bit-exact
     anchor for the batched path; agreement is ``<= 1e-8`` for every
-    method (``benchmarks/bench_gradients.py`` and
-    ``benchmarks/bench_jit.py`` gate this plus ``>= 3x`` speedups at the
-    paper's configuration).
+    method (``benchmarks/bench_gradients.py`` gates this plus ``>= 3x``
+    speedups at the paper's configuration).
 
 The engine choice selects the drive for workspace-backed evaluations and
 for the adjoint sweep (vectorised/jitted vs the per-gate reference walk);
 only the re-execution fallback of ``fd``/``central``/``derivative``
-ignores it.  See ``docs/gradients.md`` for the full method x backend x
-engine matrix.
+ignores it.  See ``docs/gradients.md`` for the method x backend
+matrix.
 """
 
 from __future__ import annotations
@@ -89,9 +88,6 @@ __all__ = [
     "GradientEngine",
     "loss_and_gradient",
     "available_gradient_methods",
-    "available_gradient_engines",
-    "validate_gradient_engine",
-    "DEFAULT_GRADIENT_ENGINE",
     "PAPER_DELTA",
 ]
 
@@ -104,33 +100,6 @@ GradientEngine = str
 GradFn = Callable[..., Tuple[float, np.ndarray]]
 
 _ENGINES = ("batched", "looped")
-
-#: Engine used when ``engine=None``: the layer-batched einsum drive.
-DEFAULT_GRADIENT_ENGINE: GradientEngine = "batched"
-
-
-def available_gradient_engines() -> list[str]:
-    """Engine names accepted by :func:`loss_and_gradient` (``engine=...``)."""
-    return sorted(_ENGINES)
-
-
-def validate_gradient_engine(
-    name: Optional[str], error_cls: type = GradientError
-) -> GradientEngine:
-    """Normalise and check an engine name (``None`` -> the default).
-
-    The single source of truth for trainer/config/CLI-level validation;
-    higher layers pass their own ``error_cls``.
-    """
-    if name is None:
-        return DEFAULT_GRADIENT_ENGINE
-    key = str(name).lower()
-    if key not in _ENGINES:
-        raise error_cls(
-            f"unknown gradient engine {name!r}; available: "
-            f"{available_gradient_engines()}"
-        )
-    return key
 
 
 def _projected_output(
@@ -542,12 +511,11 @@ def _adjoint_jit(
 ) -> Tuple[float, np.ndarray]:
     """Compiled adjoint: jitted tape-recording forward + jitted sweep.
 
-    Drives a backend's compiled kernel pair — the ``numba`` backend's
-    (:meth:`~repro.backends.jit.JitBackend.adjoint_tape` /
-    :meth:`~repro.backends.jit.JitBackend.adjoint_sweep`) or the
-    ``jax`` backend's scanned equivalents — so the whole ``O(P M)``
-    tape and backward walk run in machine code; only the loss and its
-    adjoint are evaluated in numpy.
+    Drives a backend's compiled kernel pair — the ``jax`` backend's
+    scanned :meth:`~repro.backends.jax.JaxBackend.adjoint_tape` /
+    :meth:`~repro.backends.jax.JaxBackend.adjoint_sweep` — so the whole
+    ``O(P M)`` tape and backward walk run compiled; only the loss and
+    its adjoint are evaluated in numpy.
     """
     out, tape = backend.adjoint_tape(inputs)
     base, lam = _adjoint_loss_and_lambda(
@@ -578,8 +546,8 @@ def _loss_and_grad_adjoint(
 
     - ``engine="looped"`` — the per-gate Python walk below, the
       bit-exact reference;
-    - ``engine="batched"`` (default) on the ``numba`` or ``jax``
-      backends — the jitted tape/sweep kernel pair
+    - ``engine="batched"`` (default) on the ``jax`` backend — the
+      jitted tape/sweep kernel pair
       (:func:`_adjoint_jit`);
     - ``engine="batched"`` elsewhere — the numpy vectorised sweep
       (:func:`_adjoint_vectorized`), stacked per-layer GEMMs via the
@@ -718,10 +686,12 @@ def loss_and_gradient(
         FD step; defaults to the paper's ``1e-8`` for ``"fd"`` and ``1e-6``
         for ``"central"``; ignored by the exact methods.
     engine:
-        How the gradient is driven: ``"batched"`` (the default —
-        layer-stacked einsums for the workspace methods, the
-        vectorised/jitted sweep for ``"adjoint"``) or ``"looped"`` (one
-        parameter / one gate at a time, the bit-exact reference).
+        How the gradient is driven: ``"batched"`` (the default, and the
+        only drive production callers use — layer-stacked einsums for
+        the workspace methods, the vectorised/jitted sweep for
+        ``"adjoint"``) or ``"looped"`` (one parameter / one gate at a
+        time, the reference oracle tests and benchmarks compare
+        against).
         Ignored only by the re-execution fallback of
         ``fd``/``central``/``derivative`` (networks whose backend lacks
         ``supports_cached_gradients``).
@@ -743,7 +713,12 @@ def loss_and_gradient(
             f"unknown gradient method {method!r}; available: "
             f"{available_gradient_methods()}"
         )
-    eng = validate_gradient_engine(engine)
+    eng = "batched" if engine is None else str(engine).lower()
+    if eng not in _ENGINES:
+        raise GradientError(
+            f"unknown gradient engine {engine!r}; available: "
+            f"{sorted(_ENGINES)}"
+        )
     arr = np.asarray(inputs)
     tgt = np.asarray(targets)
     if arr.ndim != 2 or arr.shape[0] != network.dim:

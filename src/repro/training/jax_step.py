@@ -23,9 +23,9 @@ it never feeds training, but ``benchmarks/bench_jax.py`` gates its
 agreement with the adjoint-tape gradient at ≤ 1e-8.
 
 :class:`Trainer` adopts the fused step automatically when every piece
-matches (jax backend, ``adjoint`` method, batched engine, plain
-squared-error loss, a constant-rate GD/momentum/Adam optimizer, no
-gradient reducer) and silently keeps the generic path otherwise —
+matches (jax backend, ``adjoint`` method, plain squared-error loss, a
+constant-rate GD/momentum/Adam optimizer, no gradient reducer) and
+silently keeps the generic path otherwise —
 see :func:`maybe_fused_step`.
 """
 
@@ -378,8 +378,8 @@ def maybe_fused_step(
     Eligibility: the network runs the ``jax`` backend, the update loss
     is a plain :class:`SquaredErrorLoss`, and the optimizer passes
     :func:`fused_train_step_supported`.  The trainer additionally
-    requires the ``adjoint`` method, the batched engine and no gradient
-    reducer before asking.
+    requires the ``adjoint`` method and no gradient reducer before
+    asking.
     """
     backend = getattr(network, "backend", None)
     if not isinstance(backend, JaxBackend):

@@ -30,10 +30,7 @@ from repro.network.targets import (
     TruncatedInputTarget,
 )
 from repro.training.callbacks import Callback, NaNGuard
-from repro.training.gradients import (
-    loss_and_gradient,
-    validate_gradient_engine,
-)
+from repro.training.gradients import loss_and_gradient
 from repro.training.loss import SquaredErrorLoss
 from repro.training.metrics import paper_accuracy, pixel_accuracy
 from repro.training.optimizers import GradientDescent, Optimizer
@@ -225,12 +222,6 @@ class Trainer:
         ``None`` keeps whatever backend the autoencoder already uses.  The
         fused backend accelerates the perturbative gradient methods
         (``fd``/``central``/``derivative``) via prefix/suffix caching.
-    grad_engine:
-        How workspace-backed gradient evaluations are driven:
-        ``"batched"`` (layer-stacked einsums, the default) or ``"looped"``
-        (per-parameter reference); ``None`` uses the default.  Only
-        meaningful with a caching backend — see
-        :func:`repro.training.gradients.loss_and_gradient`.
     parallel:
         Data-parallel gradient execution: ``None`` (single-process,
         default), ``"pool"`` (one worker per usable CPU) or ``"pool:K"``
@@ -283,7 +274,6 @@ class Trainer:
         batch_size: Optional[int] = None,
         batch_seed: int = 0,
         backend: Optional[str] = None,
-        grad_engine: Optional[str] = None,
         parallel: Optional[str] = None,
         noise=None,
         noise_trajectories: int = 8,
@@ -321,13 +311,6 @@ class Trainer:
         self.callbacks: List[Callback] = [NaNGuard(), *callbacks]
         self.fd_delta = fd_delta
         self.backend = backend
-        # Validate eagerly (same registry as loss_and_gradient) so a typo
-        # fails at construction, not mid-training.
-        self.grad_engine = (
-            None
-            if grad_engine is None
-            else validate_gradient_engine(grad_engine, TrainingError)
-        )
         from repro.parallel.reducer import validate_parallel_spec
 
         self.parallel = validate_parallel_spec(parallel, TrainingError)
@@ -429,9 +412,9 @@ class Trainer:
         """The fused jax train step for this (network, optimizer), or
         ``None`` when any piece rules it out.
 
-        Only the ``adjoint`` method under the default/batched engine on
-        the ``jax`` backend qualifies (and never under a gradient
-        reducer — shard workers run the generic path).  The decision is
+        Only the ``adjoint`` method on the ``jax`` backend qualifies (and
+        never under a gradient reducer — shard workers run the generic
+        path).  The decision is
         cached per pair for the duration of one ``train()`` call; the
         step objects hold strong references, so the ``id`` keys stay
         valid.  A ``False`` entry records an ineligible pair.
@@ -440,7 +423,6 @@ class Trainer:
             self._reducer is not None
             or self._noise_jitter_active()
             or self.gradient_method != "adjoint"
-            or self.grad_engine not in (None, "batched")
         ):
             return None
         key = (id(network), id(optimizer))
@@ -486,7 +468,6 @@ class Trainer:
                 projection=projection,
                 method=self.gradient_method,
                 delta=self.fd_delta,
-                engine=self.grad_engine,
                 reducer=self._reducer,
             )
         elif self._reducer is not None:
@@ -498,7 +479,6 @@ class Trainer:
                 projection=projection,
                 method=self.gradient_method,
                 delta=self.fd_delta,
-                engine=self.grad_engine,
             )
         else:
             loss_val, grad = loss_and_gradient(
@@ -509,7 +489,6 @@ class Trainer:
                 projection=projection,
                 method=self.gradient_method,
                 delta=self.fd_delta,
-                engine=self.grad_engine,
             )
         params = network.get_flat_params()
         network.set_flat_params(optimizer.step(params, grad))

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.api import Codec
 from repro.api.spec import CodecSpec
-from repro.exceptions import NetworkConfigError
+from repro.backends import available_backends, make_backend
+from repro.exceptions import BackendError, NetworkConfigError
 from repro.experiments.config import PaperConfig
 from repro.network.projection import Projection
 
@@ -15,7 +17,6 @@ class TestValidation:
         assert (spec.dim, spec.compressed_dim) == (16, 4)
         assert (spec.compression_layers, spec.reconstruction_layers) == (12, 14)
         assert spec.backend == "loop"
-        assert spec.grad_engine == "batched"
 
     def test_compressed_dim_must_be_smaller(self):
         with pytest.raises(NetworkConfigError):
@@ -30,12 +31,15 @@ class TestValidation:
             {"target": "magic"},
             {"loss_mode": "median"},
             {"backend": "quantum-annealer"},
-            {"grad_engine": "vectorised"},
             {"gradient_method": "spsa"},
             {"batch_size": 0},
             {"parallel": "cluster"},
             {"parallel": "pool:zero"},
             {"parallel": "pool:0"},
+            {"tile_transform": "wavelet"},
+            {"tile_quality": 0},
+            {"tile_pad": "mirror"},
+            {"code_bits": 1},
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):
@@ -59,6 +63,26 @@ class TestValidation:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             CodecSpec().dim = 8
+
+    @pytest.mark.parametrize(
+        "build, error",
+        [(lambda name: CodecSpec(backend=name), NetworkConfigError),
+         (make_backend, BackendError)],
+        ids=["spec", "registry"],
+    )
+    @pytest.mark.parametrize(
+        "backend, valid",
+        [("numba", str(available_backends())),
+         ("sharded:2:numba", "['fused', 'jax']")],
+        ids=["numba", "sharded-numba"],
+    )
+    def test_removed_numba_backend_names_valid_ones(self, build, error,
+                                                    backend, valid):
+        """A spec (or an older archive) naming the removed numba backend
+        fails with the typed error and lists the names that exist."""
+        with pytest.raises(error) as err:
+            build(backend)
+        assert valid in str(err.value)
 
 
 class TestRoundTrip:
@@ -95,6 +119,47 @@ class TestRoundTrip:
         assert hash(CodecSpec()) == hash(CodecSpec())
 
 
+#: ``CodecSpec.to_dict()`` exactly as archives written before the
+#: ``grad_engine`` field was retired carry it.
+LEGACY_SPEC_DICT = {
+    "dim": 4, "compressed_dim": 2, "compression_layers": 2,
+    "reconstruction_layers": 2, "allow_phase": False, "renormalize": False,
+    "projection": None, "backend": "fused", "grad_engine": "batched",
+    "gradient_method": "adjoint", "optimizer": "momentum",
+    "learning_rate": 0.01, "momentum": 0.9, "iterations": 3,
+    "loss_mode": "sum", "target": "pca", "seed": 2024, "batch_size": None,
+    "parallel": None, "noise": None, "noise_trajectories": 8,
+    "tile_size": None, "tile_transform": "dct", "tile_quality": 75,
+    "tile_pad": "edge", "code_bits": 8,
+}
+
+
+class TestLegacySpecDict:
+    @pytest.mark.parametrize("engine", ["batched", "looped"])
+    def test_retired_grad_engine_key_dropped(self, engine):
+        data = dict(LEGACY_SPEC_DICT, grad_engine=engine)
+        spec = CodecSpec.from_dict(data)
+        expected = {k: v for k, v in data.items() if k != "grad_engine"}
+        assert spec.to_dict() == expected
+        X = np.abs(np.random.default_rng(0).normal(size=(6, 4))) + 0.1
+        result = Codec(spec).fit(X).last_result
+        assert result.history.num_iterations == 3
+        assert np.isfinite(result.final_loss_r)
+
+    def test_legacy_archive_loads(self, tmp_path):
+        from repro.io.model_io import save_autoencoder
+
+        spec = CodecSpec.from_dict(LEGACY_SPEC_DICT)
+        path = tmp_path / "legacy.npz"
+        save_autoencoder(
+            spec.build_autoencoder(), path,
+            extra={"spec": LEGACY_SPEC_DICT, "fitted": True},
+        )
+        codec = Codec.load(path)
+        assert codec.spec == spec
+        assert codec.is_fitted
+
+
 class TestFactories:
     def test_build_projection_default_is_last(self):
         assert CodecSpec(dim=8, compressed_dim=2).build_projection() == (
@@ -127,7 +192,6 @@ class TestFactories:
     def test_build_trainer_carries_exec_knobs(self):
         trainer = CodecSpec(
             gradient_method="central",
-            grad_engine="looped",
             backend="fused",
             iterations=9,
             loss_mode="mean",
@@ -136,7 +200,6 @@ class TestFactories:
         ).build_trainer()
         assert trainer.iterations == 9
         assert trainer.gradient_method == "central"
-        assert trainer.grad_engine == "looped"
         assert trainer.backend == "fused"
         assert trainer.batch_size == 8
         assert trainer.parallel == "pool:2"

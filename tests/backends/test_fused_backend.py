@@ -25,7 +25,6 @@ class TestRegistry:
             "fused",
             "jax",
             "loop",
-            "numba",
             "sharded",
         ]
 

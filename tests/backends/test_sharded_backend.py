@@ -69,6 +69,38 @@ class TestSpecParsing:
             ShardedBackend(min_shard_columns=0)
 
 
+class TestShardedDelegateSpec:
+    def test_default_delegate(self):
+        assert ShardedBackend.from_spec("2").delegate_name == "fused"
+
+    def test_explicit_fused(self):
+        b = ShardedBackend.from_spec("fused:3")
+        assert b.delegate_name == "fused"
+        assert b.worker_count == 3
+
+    def test_order_independent(self):
+        assert ShardedBackend.from_spec("3:fused").worker_count == 3
+
+    def test_two_counts_rejected(self):
+        with pytest.raises(BackendError, match="two worker counts"):
+            ShardedBackend.from_spec("2:3")
+
+    def test_two_delegates_rejected(self):
+        with pytest.raises(BackendError, match="two delegates"):
+            ShardedBackend.from_spec("fused:fused")
+
+    def test_unknown_part_rejected(self):
+        with pytest.raises(BackendError, match="neither a worker count"):
+            ShardedBackend.from_spec("turbo")
+
+    def test_unknown_delegate_kwarg_rejected(self):
+        with pytest.raises(BackendError, match="delegate must be one of"):
+            ShardedBackend(delegate="loop")
+
+    def test_fused_delegate_has_no_adjoint_kernels(self):
+        assert ShardedBackend.from_spec("2").supports_adjoint_kernels is False
+
+
 class TestLazyPool:
     def test_selection_spawns_nothing(self):
         net = QuantumNetwork(4, 2, backend="sharded:2")

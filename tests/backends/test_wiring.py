@@ -183,63 +183,14 @@ class TestExperimentWiring:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig4", "--backend", "cuda"])
 
-
-class TestGradEngineWiring:
-    def test_cli_grad_engine_default(self):
-        args = build_parser().parse_args(["fig4"])
-        assert args.grad_engine == "batched"
-
-    def test_cli_grad_engine_flag(self):
-        args = build_parser().parse_args(
-            ["table1", "--grad-engine", "looped"]
-        )
-        assert args.grad_engine == "looped"
-
-    def test_cli_rejects_unknown_grad_engine(self):
+    @pytest.mark.parametrize("name", ["numba", "sharded:2:numba"])
+    def test_cli_rejects_removed_numba_backend(self, name, capsys):
+        """The retired numba spellings fail at parse time, naming the
+        backends that exist."""
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig4", "--grad-engine", "magic"])
-
-    def test_cli_help_epilog_documents_grad_engine(self):
-        assert "--grad-engine" in build_parser().epilog
-
-    def test_config_passes_engine_to_trainer(self):
-        cfg = PaperConfig(grad_engine="looped", compression_layers=2,
-                          reconstruction_layers=2, iterations=2)
-        assert cfg.build_trainer().grad_engine == "looped"
-
-    def test_trainer_rejects_unknown_engine(self):
-        from repro.exceptions import TrainingError
-
-        with pytest.raises(TrainingError, match="unknown gradient engine"):
-            Trainer(grad_engine="magic")
-
-    def test_engines_train_to_same_parameters(self):
-        X = np.array(
-            [[1.0, 0, 0, 1], [0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1]]
-        )
-
-        def train(engine):
-            ae = QuantumAutoencoder(4, 2, 2, 2).initialize(
-                rng=np.random.default_rng(0)
-            )
-            trainer = Trainer(
-                iterations=5,
-                gradient_method="fd",
-                backend="fused",
-                grad_engine=engine,
-            )
-            return trainer.train(ae, X)
-
-        looped = train("looped")
-        batched = train("batched")
-        assert np.allclose(
-            looped.autoencoder.uc.get_flat_params(),
-            batched.autoencoder.uc.get_flat_params(),
-            atol=1e-7,
-        )
-        assert np.allclose(
-            looped.history.loss_r, batched.history.loss_r, atol=1e-7
-        )
+            build_parser().parse_args(["fig4", "--backend", name])
+        err = capsys.readouterr().err
+        assert "numba" in err and "'fused'" in err
 
 
 def _echo_backend(config, seed):

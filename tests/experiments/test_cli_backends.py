@@ -2,7 +2,7 @@
 
 import json
 
-from repro.backends import JAX_AVAILABLE, NUMBA_AVAILABLE, available_backends
+from repro.backends import JAX_AVAILABLE, available_backends
 from repro.experiments.cli import build_parser, main
 
 
@@ -28,21 +28,14 @@ class TestMain:
         main(["backends"])
         out = capsys.readouterr().out
         assert "available" in out
-        for name, installed in (
-            ("numba", NUMBA_AVAILABLE),
-            ("jax", JAX_AVAILABLE),
-        ):
-            line = next(ln for ln in out.splitlines()
-                        if ln.startswith(name))
-            assert ("available" if installed else "missing") in line
+        line = next(ln for ln in out.splitlines() if ln.startswith("jax"))
+        assert ("available" if JAX_AVAILABLE else "missing") in line
 
     def test_missing_backend_shows_install_hint(self, capsys):
         """Soft-dependency backends surface their hint inline (the whole
         point of the subcommand: no BackendError archaeology)."""
         main(["backends"])
         out = capsys.readouterr().out
-        if not NUMBA_AVAILABLE:
-            assert "pip install numba" in out
         if not JAX_AVAILABLE:
             assert "pip install jax" in out
 
@@ -54,4 +47,3 @@ class TestMain:
         assert payload["loop"]["available"] is True
         assert payload["loop"]["hint"] is None
         assert payload["jax"]["available"] is JAX_AVAILABLE
-        assert payload["numba"]["available"] is NUMBA_AVAILABLE

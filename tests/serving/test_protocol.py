@@ -9,6 +9,7 @@ same bit-exactness end to end through a live server.
 """
 
 import io
+import math
 import struct
 
 import numpy as np
@@ -142,6 +143,12 @@ class TestErrorRoundTrip:
         assert decode_error(encode_error(code, message)) == (code, message)
 
 
+def _array_header(shape):
+    """A one-array float64 payload declaring ``shape``, with no body."""
+    payload = bytes([1]) + struct.pack("!BB", ord("d"), len(shape))
+    return payload + b"".join(struct.pack("!I", n) for n in shape)
+
+
 class TestMalformedInput:
     def test_bad_magic_rejected(self):
         header = HEADER.pack(0xDEAD, VERSION, FrameType.PING, 0, 0, 0)
@@ -177,10 +184,28 @@ class TestMalformedInput:
         with pytest.raises(ProtocolError, match="trailing"):
             decode_arrays(payload)
 
-    def test_truncated_array_body_rejected(self):
-        payload = encode_arrays([np.zeros(4)])
-        with pytest.raises(ProtocolError):
-            decode_arrays(payload[:-1])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            encode_arrays([np.zeros(4)])[:-1],
+            # Element counts that wrap a 64-bit product (2**64 and
+            # 2**64 * 4) with an empty body.
+            _array_header((65536,) * 4),
+            _array_header((2**31, 2**31, 4)),
+        ],
+        ids=["cut", "shape-2^64", "shape-2^64x4"],
+    )
+    def test_truncated_array_body_rejected(self, payload):
+        with pytest.raises(ProtocolError, match="truncated"):
+            decode_arrays(payload)
+
+    @pytest.mark.parametrize(
+        "shape", [(0, 2**31, 2**31), (1,) * 70], ids=["extent", "ndim"]
+    )
+    def test_unrepresentable_shape_rejected(self, shape):
+        payload = _array_header(shape) + b"\x00" * (8 * math.prod(shape))
+        with pytest.raises(ProtocolError, match="unrepresentable"):
+            decode_arrays(payload)
 
     def test_empty_array_payload_rejected(self):
         with pytest.raises(ProtocolError, match="count"):

@@ -1,7 +1,6 @@
 """The vectorised adjoint sweep vs the per-gate reference walk.
 
-Since the jit PR, ``method="adjoint"`` with the default
-``engine="batched"`` pulls the loss adjoint back through stacked
+``method="adjoint"`` with the default ``engine="batched"`` pulls the loss adjoint back through stacked
 per-layer GEMMs (the prefix/suffix workspace's cross-layer recurrence)
 instead of walking gates in Python; ``engine="looped"`` keeps the
 original walk as the bit-exact reference.  Both are exact reverse-mode,
@@ -10,11 +9,15 @@ combination — including the complex (``allow_phase``) extension, whose
 theta *and* alpha gradients read off the same tape.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
-from repro.network import Projection, QuantumNetwork
+import repro.training.trainer as trainer_module
+from repro.network import Projection, QuantumAutoencoder, QuantumNetwork
 from repro.training.gradients import loss_and_gradient
+from repro.training.trainer import Trainer
 
 DIMS = [3, 5, 8]
 
@@ -109,21 +112,60 @@ def test_vectorized_adjoint_does_not_mutate_params():
     assert np.array_equal(net.get_flat_params(), before)
 
 
-def test_trainer_default_uses_vectorized_adjoint():
-    """End-to-end: a few default-engine training iterations land within
-    rounding of the looped-engine run (same optimiser trajectory)."""
-    from repro.network.autoencoder import QuantumAutoencoder
-    from repro.training.trainer import Trainer
+def _train_against_oracle(monkeypatch, X, ae_factory, **trainer_kwargs):
+    """Train twice: as shipped (batched drive), then with the trainer's
+    gradient call swapped for the looped reference oracle."""
+    runs = []
+    for engine in ("batched", "looped"):
+        monkeypatch.setattr(
+            trainer_module,
+            "loss_and_gradient",
+            functools.partial(loss_and_gradient, engine=engine),
+        )
+        runs.append(Trainer(**trainer_kwargs).train(ae_factory(), X))
+    return runs
 
+
+def test_trainer_default_uses_vectorized_adjoint(monkeypatch):
+    """End-to-end: a few training iterations land within rounding of the
+    looped-oracle run (same optimiser trajectory)."""
     rng = np.random.default_rng(1)
     X = np.abs(rng.normal(size=(5, 4))) + 0.1
-    results = {}
-    for engine in ("batched", "looped"):
-        ae = QuantumAutoencoder(
+
+    def ae_factory():
+        return QuantumAutoencoder(
             dim=4, compressed_dim=2, compression_layers=2,
             reconstruction_layers=2, backend="fused",
         ).initialize("uniform", rng=np.random.default_rng(3))
-        trainer = Trainer(iterations=5, gradient_method="adjoint",
-                          grad_engine=engine)
-        results[engine] = trainer.train(ae, X).final_loss_r
-    assert results["batched"] == pytest.approx(results["looped"], abs=1e-10)
+
+    batched, looped = _train_against_oracle(
+        monkeypatch, X, ae_factory, iterations=5, gradient_method="adjoint"
+    )
+    assert batched.final_loss_r == pytest.approx(looped.final_loss_r,
+                                                 abs=1e-10)
+
+
+def test_trainer_fd_matches_looped_oracle(monkeypatch):
+    """The paper's fd method trains to the same parameters through the
+    batched drive as through the per-parameter oracle."""
+    X = np.array(
+        [[1.0, 0, 0, 1], [0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1]]
+    )
+
+    def ae_factory():
+        return QuantumAutoencoder(4, 2, 2, 2).initialize(
+            rng=np.random.default_rng(0)
+        )
+
+    batched, looped = _train_against_oracle(
+        monkeypatch, X, ae_factory,
+        iterations=5, gradient_method="fd", backend="fused",
+    )
+    assert np.allclose(
+        looped.autoencoder.uc.get_flat_params(),
+        batched.autoencoder.uc.get_flat_params(),
+        atol=1e-7,
+    )
+    assert np.allclose(
+        looped.history.loss_r, batched.history.loss_r, atol=1e-7
+    )

@@ -6,7 +6,10 @@ benches' timings are interpretable:
 - forward cost per layer scales ~O(N * M) (N-1 gates, two rows each);
 - the adjoint gradient costs a small constant multiple of a forward pass,
   independent of the parameter count (vs. FD's (P+1)x);
-- chunked propagation matches unchunked output while bounding memory.
+- memory-bounded streaming of wide batches is not timed here: it is the
+  serving path's folded GEMM (``InferenceSession(chunk_size=...)`` over
+  ``repro.parallel.batch.chunked_apply``), whose agreement with the
+  unchunked pass ``tests/api/test_session.py`` pins.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.network.quantum_network import QuantumNetwork
-from repro.parallel.batch import chunked_forward
 from repro.training.gradients import loss_and_gradient
 
 
@@ -48,17 +50,3 @@ def test_adjoint_gradient_overhead(benchmark):
     t /= np.linalg.norm(t, axis=0)
     loss, grad = benchmark(loss_and_gradient, net, x, t, method="adjoint")
     assert grad.shape == (180,)
-
-
-def test_chunked_forward_large_batch(benchmark):
-    rng = np.random.default_rng(1)
-    net = QuantumNetwork(16, 12).initialize("uniform", rng=rng)
-    x = rng.normal(size=(16, 20000))
-    out = benchmark.pedantic(
-        chunked_forward,
-        args=(net, x),
-        kwargs={"chunk_size": 2048},
-        rounds=1,
-        iterations=1,
-    )
-    assert np.allclose(out[:, :50], net.forward(x[:, :50]), atol=1e-12)

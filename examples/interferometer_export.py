@@ -9,6 +9,8 @@ example
 2. reads out its per-gate settings table (layer, modes, theta,
    reflectivity cos(theta)) — the values a lab would program,
 3. verifies the programmed mesh reproduces the trained transfer matrix,
+   and programs the same angles into a chip with angle miscalibration
+   and insertion loss (a :class:`~repro.noise.NoiseModel`),
 4. synthesises an *arbitrary* target orthogonal via the Reck
    decomposition, showing any unitary the training might land on is
    programmable,
@@ -26,6 +28,7 @@ import numpy as np
 
 from repro.io import load_network, save_network
 from repro.network import QuantumNetwork
+from repro.noise import NoiseModel
 from repro.optics import Interferometer, circuit_from_orthogonal
 from repro.simulator.unitary import random_orthogonal
 from repro.utils.ascii_art import render_table
@@ -52,6 +55,16 @@ def main() -> None:
     device = Interferometer.from_network(net)
     err = np.max(np.abs(device.transfer_matrix() - net.unitary()))
     print(f"\nprogrammed-mesh fidelity: max|T_device - U_net| = {err:.2e}")
+    chip = Interferometer.from_network(
+        net,
+        noise=NoiseModel(theta_sigma=0.01, loss_per_gate=0.005),
+        rng=np.random.default_rng(5),
+    )
+    chip_err = np.max(np.abs(chip.transfer_matrix() - net.unitary()))
+    print(
+        f"imperfect chip: max|T_chip - U_net| = {chip_err:.2e}, "
+        f"worst-case transmission {chip.total_transmission():.3f}"
+    )
 
     # 4. Any SO(N) target is synthesisable (Reck/Givens chain).
     target = random_orthogonal(8, rng, special=True)

@@ -8,7 +8,7 @@ experiment harness that regenerates each figure and table:
 - :mod:`repro.simulator` — batched statevector simulation of beamsplitter
   circuits;
 - :mod:`repro.optics` — multiport-interferometer realisation (Clements/Reck
-  meshes, imperfection models);
+  meshes, devices programmed under a :class:`~repro.noise.NoiseModel`);
 - :mod:`repro.encoding` — amplitude encoding/decoding (Eqs. 1-2);
 - :mod:`repro.network` — the compression/reconstruction networks and
   projections (Eqs. 3-4, 6);

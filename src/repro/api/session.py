@@ -263,10 +263,8 @@ class InferenceSession:
         returns the ``sqrt(p)`` magnitude amplitudes after the optional
         finite-shot measurement of the averaged distribution.
         """
-        from repro.noise.trajectory import (
-            channel_probabilities,
-            measure_probabilities,
-        )
+        from repro.noise.trajectory import channel_probabilities
+        from repro.simulator.measurement import measure_probabilities
 
         probs = None
         for ur, phi in zip(self._noisy_decode_mats, phi_batches):

@@ -28,7 +28,8 @@ import numpy as np
 from repro.encoding.amplitude import decode_batch
 from repro.experiments.config import PaperConfig
 from repro.noise.model import NoiseModel
-from repro.noise.trajectory import measure_probabilities, sample_mesh_matrix
+from repro.noise.trajectory import sample_mesh_matrix
+from repro.simulator.measurement import measure_probabilities
 from repro.training.gradients import available_gradient_methods, loss_and_gradient
 from repro.training.loss import SquaredErrorLoss
 from repro.training.metrics import paper_accuracy

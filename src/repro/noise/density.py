@@ -43,7 +43,6 @@ from repro.noise.trajectory import (
     _network_struct,
     _program_for_struct,
     clean_mesh_matrix,
-    measure_probabilities,
     realization_rng,
 )
 from repro.simulator.density import (
@@ -51,6 +50,7 @@ from repro.simulator.density import (
     dephasing_channel,
     depolarizing_channel,
 )
+from repro.simulator.measurement import measure_probabilities
 
 __all__ = ["apply_kraus_raw", "apply_jitter_channel", "noisy_program_rho", "density_forward"]
 

@@ -37,6 +37,8 @@ import json
 import math
 from typing import Any, Dict, Mapping, Optional, Union
 
+import numpy as np
+
 from repro.exceptions import NoiseError
 
 __all__ = ["NoiseModel", "NOISE_PRESETS", "noise_preset"]
@@ -102,7 +104,7 @@ class NoiseModel:
         )
         shots = self.shots
         if shots is not None:
-            if isinstance(shots, bool) or not isinstance(shots, int):
+            if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
                 raise NoiseError(f"shots must be None or a positive int, got {shots!r}")
             if shots < 1:
                 raise NoiseError(f"shots must be None or >= 1, got {shots!r}")

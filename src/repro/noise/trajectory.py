@@ -42,6 +42,7 @@ import numpy as np
 from repro.exceptions import NoiseError
 from repro.noise.model import NoiseModel
 from repro.simulator.gates import apply_givens_batch
+from repro.simulator.measurement import measure_probabilities
 
 __all__ = [
     "NoisyForwardResult",
@@ -49,7 +50,6 @@ __all__ = [
     "sample_mesh_matrix",
     "clean_mesh_matrix",
     "channel_probabilities",
-    "measure_probabilities",
     "trajectory_forward",
 ]
 
@@ -197,35 +197,6 @@ def channel_probabilities(
     if pp > 0.0:
         fid = (1.0 - pp) * fid + (pp / dim) * trace * t_sq.sum(axis=1)
     return probs, fid
-
-
-def measure_probabilities(
-    probabilities: np.ndarray,
-    shots: Optional[int],
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Finite-shot estimate of (possibly sub-normalized) probabilities.
-
-    Samples ``shots`` multinomial draws per column from the *conditional*
-    click distribution and rescales by the column's total probability, so
-    the estimate is unbiased for the unconditional ``p`` even under loss
-    (a lost photon is simply a no-click shot).  ``shots=None`` returns
-    the exact probabilities unchanged.
-    """
-    if shots is None:
-        return probabilities
-    if rng is None:
-        raise NoiseError("finite shots require an rng")
-    mat = probabilities.reshape(probabilities.shape[0], -1)
-    out = np.zeros_like(mat)
-    for m in range(mat.shape[1]):
-        p = np.clip(mat[:, m], 0.0, None)
-        total = float(p.sum())
-        if total <= 0.0:
-            continue
-        counts = rng.multinomial(int(shots), p / total)
-        out[:, m] = counts * (total / float(shots))
-    return out.reshape(probabilities.shape)
 
 
 @dataclass(frozen=True)

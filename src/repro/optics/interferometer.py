@@ -1,68 +1,40 @@
-"""Programmable multiport interferometer with imperfection models.
+"""Programmable multiport interferometer on the shared noise model.
 
 The paper's deployment story is that trained parameters "can also be
 directly set into the corresponding position interferometer for physical
 implementation" (Section III-C).  :class:`Interferometer` models that
 device: a rectangular mesh whose splitting angles are programmed from a
-trained :class:`~repro.network.quantum_network.QuantumNetwork`, subject to
-an :class:`ImperfectionModel` capturing the dominant hardware errors:
+trained :class:`~repro.network.quantum_network.QuantumNetwork`.
+
+Its hardware errors are the mesh fields of a
+:class:`~repro.noise.model.NoiseModel`:
 
 - ``theta_sigma`` — Gaussian miscalibration of each programmed angle
-  (thermo-optic phase-setting error);
+  (thermo-optic phase-setting error), frozen at programming time;
 - ``loss_per_gate`` — fractional power loss per beamsplitter crossing
-  (insertion loss), making the transfer sub-unitary;
-- finite measurement shots are modelled downstream by
-  :func:`repro.simulator.measurement.estimate_probabilities`.
+  (insertion loss), making the transfer sub-unitary.
 
-The hardware-realism bench sweeps these knobs to show how the paper's
-accuracy degrades on a physical device.
+The device folds its transfer matrix once, at construction, with
+:func:`repro.noise.trajectory.sample_mesh_matrix` — the same fold, and
+under the same ``rng`` the same draws, as every noisy execution path.
+The model's off-mesh fields (``dephasing``, ``depolarizing``, ``shots``)
+are rejected rather than ignored; finite-shot readout of the device
+output is :func:`repro.simulator.measurement.estimate_probabilities`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from repro.exceptions import GateError, NetworkConfigError
+from repro.exceptions import NetworkConfigError, NoiseError
 from repro.network.quantum_network import QuantumNetwork
+from repro.noise.model import NoiseModel
+from repro.noise.trajectory import sample_mesh_matrix
 from repro.utils.rng import ensure_rng
 
-__all__ = ["ImperfectionModel", "Interferometer"]
-
-
-@dataclass(frozen=True)
-class ImperfectionModel:
-    """Hardware-error parameters for a programmed mesh.
-
-    Attributes
-    ----------
-    theta_sigma:
-        Std-dev (radians) of i.i.d. Gaussian error added to every
-        programmed angle.
-    loss_per_gate:
-        Power loss per beamsplitter in ``[0, 1)``; amplitudes through a
-        gate are scaled by ``sqrt(1 - loss_per_gate)``.
-    """
-
-    theta_sigma: float = 0.0
-    loss_per_gate: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.theta_sigma < 0 or not math.isfinite(self.theta_sigma):
-            raise GateError(
-                f"theta_sigma must be >= 0, got {self.theta_sigma}"
-            )
-        if not 0.0 <= self.loss_per_gate < 1.0:
-            raise GateError(
-                f"loss_per_gate must be in [0, 1), got {self.loss_per_gate}"
-            )
-
-    @property
-    def is_ideal(self) -> bool:
-        return self.theta_sigma == 0.0 and self.loss_per_gate == 0.0
+__all__ = ["Interferometer"]
 
 
 class Interferometer:
@@ -76,12 +48,23 @@ class Interferometer:
         ``(layers, dim - 1)`` programmed angles.
     descending:
         Gate order within a layer (matches the source network).
-    imperfections:
-        Optional :class:`ImperfectionModel`; defaults to ideal.
+    noise:
+        Optional :class:`~repro.noise.model.NoiseModel`; defaults to
+        ideal.  Only its mesh fields (``theta_sigma``, ``loss_per_gate``)
+        describe a device; a model with ``dephasing``, ``depolarizing``
+        or ``shots`` set raises :class:`~repro.exceptions.NoiseError`.
     rng:
         Generator used to draw the *frozen* miscalibration: angle errors
         are sampled once at programming time (a fabricated/calibrated chip
         has a fixed error, not a fresh one per shot).
+
+    Examples
+    --------
+    >>> import numpy as np
+    >>> net = QuantumNetwork(4, 2).initialize("uniform", rng=np.random.default_rng(0))
+    >>> device = Interferometer.from_network(net)
+    >>> bool(np.allclose(device.transfer_matrix(), net.unitary()))
+    True
     """
 
     def __init__(
@@ -89,7 +72,7 @@ class Interferometer:
         dim: int,
         thetas: np.ndarray,
         descending: bool = False,
-        imperfections: Optional[ImperfectionModel] = None,
+        noise: Optional[NoiseModel] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         theta = np.asarray(thetas, dtype=np.float64)
@@ -99,24 +82,30 @@ class Interferometer:
             )
         if not np.all(np.isfinite(theta)):
             raise NetworkConfigError("thetas contain NaN or Inf")
+        noise = NoiseModel() if noise is None else noise
+        if noise.dephasing or noise.depolarizing or noise.shots is not None:
+            raise NoiseError(
+                "an interferometer models only the mesh (theta_sigma, "
+                "loss_per_gate); dephasing, depolarizing and shots act off "
+                "the mesh — run them through repro.noise instead"
+            )
         self.dim = int(dim)
         self.descending = bool(descending)
-        self.imperfections = imperfections or ImperfectionModel()
+        self.noise = noise
         self.programmed_thetas = theta.copy()
-        if self.imperfections.theta_sigma > 0:
-            gen = ensure_rng(rng)
-            self.effective_thetas = theta + gen.normal(
-                0.0, self.imperfections.theta_sigma, size=theta.shape
-            )
-        else:
-            self.effective_thetas = theta.copy()
+        mesh = QuantumNetwork(self.dim, theta.shape[0], descending=descending)
+        # Flat parameters are the theta matrix in row-major order.
+        self._transfer = sample_mesh_matrix(
+            mesh, theta.ravel(), noise, ensure_rng(rng)
+        )
+        self._transfer.flags.writeable = False
 
     # ------------------------------------------------------------------
     @classmethod
     def from_network(
         cls,
         network: QuantumNetwork,
-        imperfections: Optional[ImperfectionModel] = None,
+        noise: Optional[NoiseModel] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> "Interferometer":
         """Program an interferometer with a trained network's angles."""
@@ -129,7 +118,7 @@ class Interferometer:
             network.dim,
             network.theta_matrix,
             descending=network.descending,
-            imperfections=imperfections,
+            noise=noise,
             rng=rng,
         )
 
@@ -150,7 +139,7 @@ class Interferometer:
         ``(1 - l)^(2 * layers)``, the standard depth-loss estimate for
         rectangular meshes.
         """
-        keep = 1.0 - self.imperfections.loss_per_gate
+        keep = 1.0 - self.noise.loss_per_gate
         return float(keep ** (2 * self.num_layers))
 
     # ------------------------------------------------------------------
@@ -161,28 +150,16 @@ class Interferometer:
         resampling is the caller's choice (the benches post-select).
         """
         arr = np.asarray(data, dtype=np.float64)
-        squeeze = arr.ndim == 1
-        out = np.array(arr.reshape(self.dim, -1), copy=True)
-        keep_amp = math.sqrt(1.0 - self.imperfections.loss_per_gate)
-        order = range(self.dim - 1)
-        for p in range(self.num_layers):
-            modes = reversed(order) if self.descending else order
-            for k in modes:
-                theta = self.effective_thetas[p, k]
-                c, s = math.cos(theta), math.sin(theta)
-                r0 = out[k].copy()
-                r1 = out[k + 1]
-                out[k] = keep_amp * (c * r0 - s * r1)
-                out[k + 1] = keep_amp * (s * r0 + c * r1)
-        return out.ravel() if squeeze else out
+        out = self._transfer @ arr.reshape(self.dim, -1)
+        return out.ravel() if arr.ndim == 1 else out
 
     def transfer_matrix(self) -> np.ndarray:
         """The (sub-)unitary ``N x N`` transfer matrix of the device."""
-        return self.apply(np.eye(self.dim))
+        return self._transfer.copy()
 
     def __repr__(self) -> str:
-        imp = self.imperfections
         return (
             f"Interferometer(dim={self.dim}, layers={self.num_layers}, "
-            f"theta_sigma={imp.theta_sigma}, loss={imp.loss_per_gate})"
+            f"theta_sigma={self.noise.theta_sigma}, "
+            f"loss={self.noise.loss_per_gate})"
         )

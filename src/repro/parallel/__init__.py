@@ -4,8 +4,9 @@ Following the scientific-Python optimisation guidance (vectorise across
 samples, bound working-set size, parallelise embarrassingly parallel
 work with processes), this subpackage provides:
 
-- :mod:`~repro.parallel.batch` — memory-bounded chunked propagation of
-  large state batches through a network, with reusable workspaces;
+- :mod:`~repro.parallel.batch` — :func:`chunked_apply`, memory-bounded
+  column-chunked application of a dense operator (the serving path's
+  streaming GEMM);
 - :mod:`~repro.parallel.sharding` — column-shard planning for scattering
   ``(N, M)`` batches across workers (pure index arithmetic);
 - :mod:`~repro.parallel.pool` — :class:`WorkerPool`, the persistent
@@ -21,7 +22,7 @@ work with processes), this subpackage provides:
   the ablation experiments and built on :class:`WorkerPool`.
 """
 
-from repro.parallel.batch import chunked_apply, chunked_forward, ChunkedPipeline
+from repro.parallel.batch import chunked_apply
 from repro.parallel.pool import (
     WorkerPool,
     default_worker_count,
@@ -39,8 +40,6 @@ from repro.parallel.sweep import SweepResult, run_sweep, sweep_grid
 
 __all__ = [
     "chunked_apply",
-    "chunked_forward",
-    "ChunkedPipeline",
     "GradientReducer",
     "Shard",
     "SweepResult",

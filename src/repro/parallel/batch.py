@@ -1,24 +1,22 @@
-"""Memory-bounded batched state propagation.
+"""Memory-bounded application of a dense operator to a wide batch.
 
-The network kernels are already vectorised across samples; for very large
-batches (the scaling benches push ``M`` into the tens of thousands) the
-``(N, M)`` working set should stay inside cache-friendly chunks and avoid
-repeated allocation.  :func:`chunked_forward` streams a batch through a
-network in column chunks, writing into a caller-owned output array;
-:class:`ChunkedPipeline` does the same for the full autoencoder pipeline.
+Serving folds a frozen pipeline into dense operators (see
+:class:`repro.api.InferenceSession`), so streaming a large batch is one
+GEMM per column chunk.  :func:`chunked_apply` bounds the ``(N, M)``
+working set to one ``(rows, chunk_size)`` block and can write into a
+caller-owned output array.  Streaming a whole autoencoder pipeline in
+chunks is ``InferenceSession(ae, chunk_size=...).reconstruct(X)``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.exceptions import DimensionError
-from repro.network.autoencoder import QuantumAutoencoder
-from repro.network.quantum_network import QuantumNetwork
 
-__all__ = ["chunked_apply", "chunked_forward", "ChunkedPipeline"]
+__all__ = ["chunked_apply"]
 
 
 def chunked_apply(
@@ -29,10 +27,10 @@ def chunked_apply(
 ) -> np.ndarray:
     """``matrix @ data`` computed in column chunks of ``data``.
 
-    The dense-operator analogue of :func:`chunked_forward`: peak extra
-    memory is bounded by one ``(rows, chunk_size)`` block, so oversized
-    serving ticks (see :class:`repro.api.MicroBatcher`) stream through a
-    precompiled operator without materialising a second full-width batch.
+    Peak extra memory is bounded by one ``(rows, chunk_size)`` block, so
+    oversized serving ticks (see :class:`repro.api.MicroBatcher`) stream
+    through a precompiled operator without materialising a second
+    full-width batch.
 
     Examples
     --------
@@ -65,134 +63,3 @@ def chunked_apply(
         stop = min(start + chunk_size, arr.shape[1])
         np.matmul(mat, arr[:, start:stop], out=out[:, start:stop])
     return out
-
-
-def chunked_forward(
-    network: QuantumNetwork,
-    data: np.ndarray,
-    chunk_size: int = 4096,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Apply ``network`` to ``(N, M)`` data in column chunks.
-
-    Equivalent to ``network.forward(data)`` but with peak extra memory
-    bounded by one ``(N, chunk_size)`` buffer; results are written into
-    ``out`` when provided (must be ``(N, M)`` and able to hold the result
-    dtype, may alias nothing).  The result dtype follows the same rule as
-    ``network.forward``: complex when the input is complex or the network
-    carries phases (``allow_phase``), float64 otherwise.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro.network import QuantumNetwork
-    >>> net = QuantumNetwork(4, 2).initialize("uniform", rng=np.random.default_rng(0))
-    >>> x = np.random.default_rng(1).normal(size=(4, 10))
-    >>> bool(np.allclose(chunked_forward(net, x, chunk_size=3), net.forward(x)))
-    True
-    """
-    if chunk_size < 1:
-        raise DimensionError(f"chunk_size must be >= 1, got {chunk_size}")
-    arr = np.asarray(data)
-    if arr.ndim != 2 or arr.shape[0] != network.dim:
-        raise DimensionError(
-            f"data must be (N={network.dim}, M), got shape {arr.shape}"
-        )
-    dtype = network.result_dtype(arr)
-    n, m = arr.shape
-    if out is None:
-        out = np.empty(arr.shape, dtype=dtype)
-    elif out.shape != arr.shape:
-        raise DimensionError(
-            f"out shape {out.shape} != data shape {arr.shape}"
-        )
-    elif not np.can_cast(dtype, out.dtype, casting="safe"):
-        raise DimensionError(
-            f"out buffer dtype {out.dtype} cannot safely hold the {dtype} "
-            "forward result"
-        )
-    for start in range(0, m, chunk_size):
-        stop = min(start + chunk_size, m)
-        # Explicit copy: ascontiguousarray would alias the input when the
-        # chunk spans the whole (contiguous) batch, and forward_inplace
-        # must never mutate the caller's data.
-        block = np.array(arr[:, start:stop], dtype=dtype, order="C", copy=True)
-        network.forward_inplace(block)
-        out[:, start:stop] = block
-    return out
-
-
-class ChunkedPipeline:
-    """Streamed end-to-end autoencoding for batches too large for one pass.
-
-    Parameters
-    ----------
-    autoencoder:
-        A (typically trained) :class:`QuantumAutoencoder`.
-    chunk_size:
-        Samples processed per chunk.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro.network import QuantumAutoencoder
-    >>> ae = QuantumAutoencoder(4, 2, 2, 2).initialize(rng=np.random.default_rng(0))
-    >>> X = np.abs(np.random.default_rng(1).normal(size=(100, 4))) + 0.1
-    >>> ChunkedPipeline(ae, chunk_size=16).reconstruct(X).shape
-    (100, 4)
-    """
-
-    def __init__(
-        self, autoencoder: QuantumAutoencoder, chunk_size: int = 1024
-    ) -> None:
-        if chunk_size < 1:
-            raise DimensionError(
-                f"chunk_size must be >= 1, got {chunk_size}"
-            )
-        self.autoencoder = autoencoder
-        self.chunk_size = int(chunk_size)
-
-    def _result_dtype(self) -> np.dtype:
-        """Pipeline output dtype: complex for phase-bearing autoencoders."""
-        return np.dtype(
-            np.complex128
-            if self.autoencoder.uc.allow_phase
-            else np.float64
-        )
-
-    def reconstruct(self, X: np.ndarray) -> np.ndarray:
-        """Encode, compress, reconstruct and decode ``X`` chunk by chunk."""
-        mat = np.asarray(X, dtype=np.float64)
-        if mat.ndim != 2:
-            raise DimensionError(f"X must be (M, N), got shape {mat.shape}")
-        m = mat.shape[0]
-        # Allocate with the dtype the pipeline actually decodes to, not
-        # the input's (today decode_batch always yields float64; this
-        # keeps the buffer correct if a decode path ever returns signed
-        # or complex values instead of magnitudes).
-        out = np.empty_like(mat) if m == 0 else None
-        for start in range(0, m, self.chunk_size):
-            stop = min(start + self.chunk_size, m)
-            result = self.autoencoder.forward(mat[start:stop])
-            if out is None:
-                out = np.empty(mat.shape, dtype=result.x_hat.dtype)
-            out[start:stop] = result.x_hat
-        return out
-
-    def compact_codes(self, X: np.ndarray) -> np.ndarray:
-        """Compressed ``(d, M)`` codes, streamed.
-
-        Codes are complex for phase-bearing (``allow_phase``) autoencoders
-        — the same dtype one full-batch ``forward`` would produce.
-        """
-        mat = np.asarray(X, dtype=np.float64)
-        if mat.ndim != 2:
-            raise DimensionError(f"X must be (M, N), got shape {mat.shape}")
-        m = mat.shape[0]
-        d = self.autoencoder.compressed_dim
-        out = np.empty((d, m), dtype=self._result_dtype())
-        for start in range(0, m, self.chunk_size):
-            stop = min(start + self.chunk_size, m)
-            result = self.autoencoder.forward(mat[start:stop])
-            out[:, start:stop] = result.compact_codes
-        return out

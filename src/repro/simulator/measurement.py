@@ -8,9 +8,20 @@ basis.  Both are provided:
 
 - :func:`born_probabilities` — exact ``|amplitude|^2``;
 - :func:`sample_counts` / :func:`estimate_probabilities` — multinomial
-  finite-shot sampling, the hardware-realism model used by the shot-noise
-  ablation benches;
+  finite-shot sampling of a state, the hardware-realism model used by the
+  shot-noise ablation benches and
+  :class:`~repro.training.hardware.ShotBasedObjective`;
+- :func:`measure_probabilities` — the same sampling applied to an
+  already-computed (possibly sub-normalized) probability batch, the
+  readout of :class:`~repro.noise.NoiseModel`'s ``shots`` on the density,
+  trajectory and serving paths;
 - :func:`measurement_expectation` — expectation of a diagonal observable.
+
+All finite-shot functions share one per-column multinomial loop.  Each
+column is sampled from its conditional click distribution ``p / sum(p)``
+and estimates are rescaled by that column total, so a lossy
+(sub-normalized) state keeps its transmission in expectation: a lost
+photon is a no-click shot.
 
 Note on signs: measurement yields ``|B_j|^2``, so the decoded classical data
 of Eq. (2) uses ``sqrt(|B_j|^2 * sum x^2) = |B_j| * sqrt(sum x^2)``.  Sign
@@ -26,7 +37,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.exceptions import MeasurementError
+from repro.exceptions import MeasurementError, NoiseError
 from repro.simulator.state import QuantumState, StateBatch
 from repro.utils.rng import ensure_rng
 
@@ -35,6 +46,7 @@ __all__ = [
     "sample_counts",
     "estimate_probabilities",
     "estimate_amplitudes",
+    "measure_probabilities",
     "measurement_expectation",
 ]
 
@@ -69,6 +81,40 @@ def born_probabilities(state: StateLike) -> np.ndarray:
     return probs
 
 
+def _validated_shots(shots) -> int:
+    if (
+        isinstance(shots, bool)
+        or not isinstance(shots, (int, np.integer))
+        or shots <= 0
+    ):
+        raise MeasurementError(f"shots must be a positive int, got {shots!r}")
+    return int(shots)
+
+
+def _multinomial_columns(
+    mat: np.ndarray, shots: int, gen: np.random.Generator, skip_empty: bool
+):
+    """Draw ``shots`` clicks per column of ``(N, M)`` probabilities.
+
+    Returns ``(counts, totals)``.  Tiny negative rounding is clipped away
+    before each column is normalized by its total.  A column with zero
+    total probability raises :class:`MeasurementError`, or, with
+    ``skip_empty``, gets zero counts (every photon was lost).
+    """
+    counts = np.zeros(mat.shape, dtype=np.int64)
+    totals = np.zeros(mat.shape[1], dtype=np.float64)
+    for m in range(mat.shape[1]):
+        p = np.clip(mat[:, m], 0.0, None)
+        total = float(p.sum())
+        if total <= 0.0:
+            if skip_empty:
+                continue
+            raise MeasurementError("state has zero total probability")
+        counts[:, m] = gen.multinomial(shots, p / total)
+        totals[m] = total
+    return counts, totals
+
+
 def sample_counts(
     state: StateLike,
     shots: int,
@@ -79,22 +125,12 @@ def sample_counts(
     Returns an integer array of the same shape as
     :func:`born_probabilities`, with each column summing to ``shots``.
     """
-    if not isinstance(shots, (int, np.integer)) or shots <= 0:
-        raise MeasurementError(f"shots must be a positive int, got {shots!r}")
-    gen = ensure_rng(rng)
+    shots = _validated_shots(shots)
     probs = born_probabilities(state)
-    single = probs.ndim == 1
-    mat = probs.reshape(probs.shape[0], -1) if single else probs
-    # Guard against tiny negative / >1 rounding before multinomial sampling.
-    cols = []
-    for m in range(mat.shape[1]):
-        p = np.clip(mat[:, m], 0.0, None)
-        total = p.sum()
-        if total <= 0:
-            raise MeasurementError("state has zero total probability")
-        cols.append(gen.multinomial(int(shots), p / total))
-    counts = np.stack(cols, axis=1)
-    return counts.ravel() if single else counts
+    counts, _ = _multinomial_columns(
+        probs.reshape(probs.shape[0], -1), shots, ensure_rng(rng), False
+    )
+    return counts.reshape(probs.shape)
 
 
 def estimate_probabilities(
@@ -105,11 +141,48 @@ def estimate_probabilities(
     """Estimated probabilities from ``shots`` measurements.
 
     ``shots=None`` returns the exact Born probabilities — the paper's
-    (infinite-shot, simulator) regime.
+    (infinite-shot, simulator) regime.  Finite-shot frequencies are
+    rescaled by each state's total probability, so the estimate of a
+    sub-normalized state sums to its norm squared, as the exact one does.
+    """
+    probs = born_probabilities(state)
+    if shots is None:
+        return probs
+    shots = _validated_shots(shots)
+    counts, totals = _multinomial_columns(
+        probs.reshape(probs.shape[0], -1), shots, ensure_rng(rng), False
+    )
+    return (counts * (totals / shots)).reshape(probs.shape)
+
+
+def measure_probabilities(
+    probabilities: np.ndarray,
+    shots: Optional[int],
+    rng: Optional[np.random.Generator] = None,
+) -> np.ndarray:
+    """Finite-shot estimate of (possibly sub-normalized) probabilities.
+
+    Samples ``shots`` multinomial draws per column from the *conditional*
+    click distribution and rescales by the column's total probability, so
+    the estimate is unbiased for the unconditional ``p`` even under loss
+    (a lost photon is simply a no-click shot).  A column with no
+    probability left stays zero.  ``shots=None`` returns the exact
+    probabilities unchanged; finite shots need an explicit ``rng``
+    (the noise paths draw from a dedicated measurement stream).
+
+    >>> p = np.array([[0.3], [0.1]])
+    >>> est = measure_probabilities(p, 1000, np.random.default_rng(0))
+    >>> bool(np.isclose(est.sum(), 0.4))
+    True
     """
     if shots is None:
-        return born_probabilities(state)
-    return sample_counts(state, shots, rng=rng) / float(shots)
+        return probabilities
+    if rng is None:
+        raise NoiseError("finite shots require an rng")
+    shots = _validated_shots(shots)
+    mat = probabilities.reshape(probabilities.shape[0], -1)
+    counts, totals = _multinomial_columns(mat, shots, rng, True)
+    return (counts * (totals / shots)).reshape(probabilities.shape)
 
 
 def estimate_amplitudes(

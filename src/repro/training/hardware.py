@@ -11,7 +11,11 @@ module implements the training loop that setting actually permits:
   landing in trash modes are detectable events, counted and penalised
   against the targets' zeros there — exactly the compression pressure of
   ``L_C``).  With ``shots=None`` it is the exact probability-domain loss
-  (useful for isolating sampling noise from the sign-blindness effect);
+  (useful for isolating sampling noise from the sign-blindness effect).
+  Shots are drawn by
+  :func:`~repro.simulator.measurement.estimate_probabilities`, the same
+  per-column multinomial loop that reads out ``NoiseModel(shots=...)`` on
+  the noisy execution paths;
 - :class:`SPSA` — simultaneous-perturbation stochastic approximation
   (Spall 1992), the standard optimizer for noisy black-box objectives:
   two evaluations per iteration regardless of parameter count, robust to

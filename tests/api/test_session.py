@@ -109,6 +109,37 @@ class TestChunking:
             atol=1e-12, rtol=0,
         )
 
+    def test_allow_phase_chunks_match_eager(self):
+        """Phase-bearing pipelines stream complex codes through chunks."""
+        ae = _autoencoder(allow_phase=True)
+        session = InferenceSession(ae, chunk_size=5, flush_latency=None)
+        X = _data(m=12)
+        eager = ae.forward(X)
+        codes = session.compress(X).codes
+        assert np.iscomplexobj(codes)
+        assert np.any(np.abs(codes.imag) > 1e-12)
+        np.testing.assert_allclose(codes, eager.compact_codes, atol=TOL, rtol=0)
+        np.testing.assert_allclose(
+            session.reconstruct(X), eager.x_hat, atol=TOL, rtol=0
+        )
+
+    def test_reconstruct_dtype_follows_eager_result(self):
+        """Chunked and eager reconstructions of a phase-bearing
+        autoencoder agree in dtype, not only in value."""
+        ae = _autoencoder(allow_phase=True)
+        X = _data(m=9)
+        direct = ae.forward(X).x_hat
+        chunked = InferenceSession(
+            ae, chunk_size=4, flush_latency=None
+        ).reconstruct(X)
+        assert chunked.dtype == direct.dtype
+        np.testing.assert_allclose(chunked, direct, atol=TOL, rtol=0)
+
+    def test_empty_batch_rejected(self):
+        session = InferenceSession(_autoencoder(), flush_latency=None)
+        with pytest.raises(DimensionError):
+            session.reconstruct(np.empty((0, 4)))
+
     def test_chunk_size_validated(self):
         with pytest.raises(ServingError):
             InferenceSession(_autoencoder(), chunk_size=0)

@@ -7,7 +7,6 @@ from repro.exceptions import ExperimentError
 from repro.experiments.cli import build_parser
 from repro.experiments.config import PaperConfig
 from repro.network import QuantumAutoencoder, QuantumNetwork
-from repro.parallel.batch import chunked_forward
 from repro.parallel.sweep import run_sweep, sweep_grid
 from repro.training.trainer import Trainer
 
@@ -224,16 +223,3 @@ class TestSweepWiring:
     def test_unknown_backend_raises(self):
         with pytest.raises(ExperimentError, match="unknown backend"):
             run_sweep(_echo_backend, [{}], processes=0, backend="cuda")
-
-
-class TestParallelBatchWiring:
-    def test_chunked_forward_uses_network_backend(self):
-        net = QuantumNetwork(4, 2, backend="fused").initialize(
-            "uniform", rng=np.random.default_rng(0)
-        )
-        x = np.random.default_rng(1).normal(size=(4, 10))
-        ref = QuantumNetwork(4, 2)
-        ref.set_flat_params(net.get_flat_params())
-        assert np.allclose(
-            chunked_forward(net, x, chunk_size=3), ref.forward(x), atol=1e-12
-        )

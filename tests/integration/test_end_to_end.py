@@ -8,11 +8,11 @@ from repro import (
     Trainer,
     paper_accuracy,
 )
+from repro.api import InferenceSession
 from repro.data import paper_dataset, rank_limited_binary_dataset
 from repro.io.model_io import load_autoencoder, save_autoencoder
 from repro.network.targets import TruncatedInputTarget
 from repro.optics.interferometer import Interferometer
-from repro.parallel.batch import ChunkedPipeline
 from repro.simulator.measurement import estimate_amplitudes
 from repro.training.optimizers import Adam
 
@@ -99,7 +99,8 @@ class TestTrainedPipeline:
         # rank_limited uses stripe patterns; accuracy is not meaningful
         # here, but the streamed path must agree with the direct one.
         direct = ae.forward(bulk).x_hat
-        streamed = ChunkedPipeline(ae, chunk_size=64).reconstruct(bulk)
+        session = InferenceSession(ae, chunk_size=64, flush_latency=None)
+        streamed = session.reconstruct(bulk)
         assert np.allclose(direct, streamed)
 
 

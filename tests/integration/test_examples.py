@@ -69,3 +69,32 @@ def test_paper_experiment_reduced_budget_executes():
     )
     assert result.returncode == 0, result.stderr
     assert "Fig. 4a" in result.stdout
+
+
+def _run_example(name):
+    result = subprocess.run(
+        [sys.executable, str(EXAMPLES_DIR / name)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+@pytest.mark.slow
+def test_transmission_pipeline_executes():
+    out = _run_example("transmission_pipeline.py")
+    assert "receiver-side accuracy" in out
+    assert "streamed 5000 images through the chunked session" in out
+    gap = float(out.split("max deviation ")[1].split()[0])
+    assert gap < 1e-10
+
+
+@pytest.mark.slow
+def test_interferometer_export_executes():
+    out = _run_example("interferometer_export.py")
+    err = float(out.split("max|T_device - U_net| = ")[1].split()[0])
+    assert err < 1e-12
+    assert "imperfect chip: max|T_chip - U_net|" in out
+    assert "NPZ save/load round trip identical: True" in out

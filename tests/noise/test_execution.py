@@ -24,11 +24,8 @@ from repro.noise import (
     sample_mesh_matrix,
     trajectory_forward,
 )
-from repro.noise.trajectory import (
-    STREAM_UC,
-    channel_probabilities,
-    measure_probabilities,
-)
+from repro.noise.trajectory import STREAM_UC, channel_probabilities
+from repro.simulator.measurement import measure_probabilities
 
 
 @pytest.fixture(scope="module")

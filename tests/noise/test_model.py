@@ -37,6 +37,12 @@ class TestValidation:
         with pytest.raises(NoiseError):
             NoiseModel(shots=shots)
 
+    def test_numpy_integer_shots_accepted(self):
+        model = NoiseModel(shots=np.int64(100))
+        assert model == NoiseModel(shots=100)
+        assert type(model.shots) is int
+        assert model.to_json() == NoiseModel(shots=100).to_json()
+
     def test_nan_rejected(self):
         with pytest.raises(NoiseError):
             NoiseModel(theta_sigma=float("nan"))

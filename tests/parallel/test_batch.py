@@ -6,155 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.exceptions import DimensionError
-from repro.network import QuantumAutoencoder, QuantumNetwork
-from repro.parallel.batch import ChunkedPipeline, chunked_apply, chunked_forward
-
-
-class TestChunkedForward:
-    def test_matches_direct_forward(self, rng):
-        net = QuantumNetwork(8, 3).initialize("uniform", rng=rng)
-        x = rng.normal(size=(8, 50))
-        assert np.allclose(
-            chunked_forward(net, x, chunk_size=7), net.forward(x)
-        )
-
-    def test_chunk_larger_than_batch(self, rng):
-        net = QuantumNetwork(4, 2).initialize("uniform", rng=rng)
-        x = rng.normal(size=(4, 3))
-        assert np.allclose(
-            chunked_forward(net, x, chunk_size=100), net.forward(x)
-        )
-
-    def test_out_buffer_used(self, rng):
-        net = QuantumNetwork(4, 2).initialize("uniform", rng=rng)
-        x = rng.normal(size=(4, 10))
-        out = np.empty_like(x)
-        result = chunked_forward(net, x, chunk_size=4, out=out)
-        assert result is out
-
-    def test_out_shape_validated(self, rng):
-        net = QuantumNetwork(4, 2)
-        with pytest.raises(DimensionError):
-            chunked_forward(net, np.ones((4, 3)), out=np.empty((4, 5)))
-
-    def test_invalid_chunk_size(self, rng):
-        net = QuantumNetwork(4, 2)
-        with pytest.raises(DimensionError):
-            chunked_forward(net, np.ones((4, 3)), chunk_size=0)
-
-    def test_dim_mismatch(self):
-        net = QuantumNetwork(4, 2)
-        with pytest.raises(DimensionError):
-            chunked_forward(net, np.ones((8, 3)))
-
-    def test_input_not_mutated(self, rng):
-        net = QuantumNetwork(4, 2).initialize("uniform", rng=rng)
-        x = np.ones((4, 6))
-        chunked_forward(net, x, chunk_size=2)
-        assert np.all(x == 1.0)
-
-    def test_complex_input_preserved(self, rng):
-        """Regression: complex inputs used to crash on float64 coercion."""
-        net = QuantumNetwork(4, 2).initialize("uniform", rng=rng)
-        x = rng.normal(size=(4, 11)) + 1j * rng.normal(size=(4, 11))
-        out = chunked_forward(net, x, chunk_size=3)
-        assert np.iscomplexobj(out)
-        assert np.allclose(out, net.forward(x))
-
-    def test_allow_phase_network_promotes_real_input(self, rng):
-        """Regression: phase networks need complex chunks for real data."""
-        net = QuantumNetwork(4, 2, allow_phase=True)
-        params = rng.normal(size=net.num_parameters) * 0.4
-        net.set_flat_params(params)
-        x = rng.normal(size=(4, 9))
-        out = chunked_forward(net, x, chunk_size=4)
-        assert np.iscomplexobj(out)
-        assert np.allclose(out, net.forward(x))
-
-    def test_real_out_buffer_rejected_for_complex_result(self, rng):
-        net = QuantumNetwork(4, 2, allow_phase=True)
-        net.set_flat_params(rng.normal(size=net.num_parameters))
-        with pytest.raises(DimensionError, match="complex"):
-            chunked_forward(net, np.ones((4, 3)), out=np.empty((4, 3)))
-
-    def test_lossy_out_buffer_rejected(self, rng):
-        net = QuantumNetwork(4, 2).initialize("uniform", rng=rng)
-        with pytest.raises(DimensionError, match="cannot safely hold"):
-            chunked_forward(
-                net, np.ones((4, 3)), out=np.empty((4, 3), dtype=np.int64)
-            )
-
-    def test_complex_out_buffer_accepted(self, rng):
-        net = QuantumNetwork(4, 2).initialize("uniform", rng=rng)
-        x = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
-        out = np.empty((4, 5), dtype=np.complex128)
-        result = chunked_forward(net, x, chunk_size=2, out=out)
-        assert result is out
-        assert np.allclose(out, net.forward(x))
-
-
-class TestChunkedPipeline:
-    @pytest.fixture
-    def ae(self, rng):
-        return QuantumAutoencoder(4, 2, 2, 2).initialize("uniform", rng=rng)
-
-    def test_reconstruct_matches_direct(self, ae, rng):
-        X = np.abs(rng.normal(size=(30, 4))) + 0.1
-        chunked = ChunkedPipeline(ae, chunk_size=7).reconstruct(X)
-        direct = ae.forward(X).x_hat
-        assert np.allclose(chunked, direct)
-
-    def test_codes_match_direct(self, ae, rng):
-        X = np.abs(rng.normal(size=(20, 4))) + 0.1
-        chunked = ChunkedPipeline(ae, chunk_size=6).compact_codes(X)
-        direct = ae.forward(X).compact_codes
-        assert np.allclose(chunked, direct)
-
-    def test_invalid_chunk_size(self, ae):
-        with pytest.raises(DimensionError):
-            ChunkedPipeline(ae, chunk_size=0)
-
-    def test_1d_input_rejected(self, ae):
-        with pytest.raises(DimensionError):
-            ChunkedPipeline(ae).reconstruct(np.ones(4))
-
-    def test_allow_phase_codes_keep_imaginary_part(self, rng):
-        """Regression: complex codes were written into a float64 buffer."""
-        ae = QuantumAutoencoder(4, 2, 2, 2, allow_phase=True)
-        ae.uc.set_flat_params(rng.normal(size=ae.uc.num_parameters) * 0.5)
-        ae.ur.set_flat_params(rng.normal(size=ae.ur.num_parameters) * 0.5)
-        X = np.abs(rng.normal(size=(12, 4))) + 0.1
-        codes = ChunkedPipeline(ae, chunk_size=5).compact_codes(X)
-        direct = ae.forward(X).compact_codes
-        assert np.iscomplexobj(codes)
-        assert np.any(np.abs(codes.imag) > 1e-12)
-        assert np.allclose(codes, direct)
-
-    def test_allow_phase_reconstruct(self, rng):
-        ae = QuantumAutoencoder(4, 2, 2, 2, allow_phase=True)
-        ae.uc.set_flat_params(rng.normal(size=ae.uc.num_parameters) * 0.5)
-        ae.ur.set_flat_params(rng.normal(size=ae.ur.num_parameters) * 0.5)
-        X = np.abs(rng.normal(size=(12, 4))) + 0.1
-        chunked = ChunkedPipeline(ae, chunk_size=5).reconstruct(X)
-        assert np.allclose(chunked, ae.forward(X).x_hat)
-
-    def test_reconstruct_dtype_follows_pipeline_result(self, rng):
-        """Regression: the output buffer must take the dtype the pipeline
-        decodes to, not the input's — chunked and direct reconstructions
-        of a phase-bearing autoencoder must agree bitwise in dtype."""
-        ae = QuantumAutoencoder(4, 2, 2, 2, allow_phase=True)
-        ae.uc.set_flat_params(rng.normal(size=ae.uc.num_parameters) * 0.5)
-        ae.ur.set_flat_params(rng.normal(size=ae.ur.num_parameters) * 0.5)
-        X = np.abs(rng.normal(size=(9, 4))) + 0.1
-        direct = ae.forward(X).x_hat
-        chunked = ChunkedPipeline(ae, chunk_size=4).reconstruct(X)
-        assert chunked.dtype == direct.dtype
-        assert np.allclose(chunked, direct)
-
-    def test_reconstruct_empty_batch(self, ae):
-        out = ChunkedPipeline(ae).reconstruct(np.empty((0, 4)))
-        assert out.shape == (0, 4)
-        assert out.dtype == np.float64
+from repro.parallel.batch import chunked_apply
 
 
 class TestChunkedApply:
@@ -162,6 +14,56 @@ class TestChunkedApply:
         m = rng.normal(size=(3, 5))
         x = rng.normal(size=(5, 17))
         assert np.allclose(chunked_apply(m, x, chunk_size=4), m @ x)
+
+    def test_out_buffer_used(self, rng):
+        m, x = rng.normal(size=(4, 4)), rng.normal(size=(4, 10))
+        out = np.empty((4, 10))
+        assert chunked_apply(m, x, chunk_size=4, out=out) is out
+        assert np.allclose(out, m @ x)
+
+    def test_out_shape_validated(self):
+        with pytest.raises(DimensionError):
+            chunked_apply(np.eye(4), np.ones((4, 3)), out=np.empty((4, 5)))
+
+    def test_invalid_chunk_size(self):
+        with pytest.raises(DimensionError):
+            chunked_apply(np.eye(4), np.ones((4, 3)), chunk_size=0)
+
+    def test_dim_mismatch(self):
+        with pytest.raises(DimensionError):
+            chunked_apply(np.eye(4), np.ones((8, 3)))
+
+    def test_real_out_buffer_rejected_for_complex_result(self):
+        with pytest.raises(DimensionError, match="complex"):
+            chunked_apply(
+                np.eye(4, dtype=np.complex128),
+                np.ones((4, 3)),
+                out=np.empty((4, 3)),
+            )
+
+    def test_lossy_out_buffer_rejected(self):
+        with pytest.raises(DimensionError, match="cannot safely hold"):
+            chunked_apply(
+                np.eye(4), np.ones((4, 3)), out=np.empty((4, 3), dtype=np.int64)
+            )
+
+    def test_chunk_larger_than_batch(self, rng):
+        m, x = rng.normal(size=(4, 4)), rng.normal(size=(4, 3))
+        assert np.allclose(chunked_apply(m, x, chunk_size=100), m @ x)
+
+    def test_complex_input_preserved(self, rng):
+        m = rng.normal(size=(4, 4))
+        x = rng.normal(size=(4, 11)) + 1j * rng.normal(size=(4, 11))
+        out = chunked_apply(m, x, chunk_size=3)
+        assert np.iscomplexobj(out)
+        assert np.allclose(out, m @ x)
+
+    def test_complex_out_buffer_accepted(self, rng):
+        m = rng.normal(size=(4, 4))
+        x = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+        out = np.empty((4, 5), dtype=np.complex128)
+        assert chunked_apply(m, x, chunk_size=2, out=out) is out
+        assert np.allclose(out, m @ x)
 
     @given(
         rows=st.integers(min_value=1, max_value=6),

@@ -8,6 +8,7 @@ from repro.simulator.measurement import (
     born_probabilities,
     estimate_amplitudes,
     estimate_probabilities,
+    measure_probabilities,
     measurement_expectation,
     sample_counts,
 )
@@ -79,6 +80,63 @@ class TestSampling:
         a = sample_counts(s, 100, rng=np.random.default_rng(5))
         b = sample_counts(s, 100, rng=np.random.default_rng(5))
         assert np.array_equal(a, b)
+
+    def test_zero_probability_column_rejected(self):
+        state = np.array([[0.6, 0.0], [0.8, 0.0]])
+        with pytest.raises(MeasurementError, match="zero total"):
+            sample_counts(state, 10, rng=np.random.default_rng(0))
+        with pytest.raises(MeasurementError, match="zero total"):
+            estimate_probabilities(state, 10, rng=np.random.default_rng(0))
+
+
+class TestSharedSampler:
+    """``estimate_probabilities`` and ``measure_probabilities`` draw from
+    one per-column multinomial loop with one shot validation."""
+
+    @pytest.mark.parametrize("shots", [0, -3, 1.5])
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            lambda p, shots: estimate_probabilities(
+                np.sqrt(p), shots, rng=np.random.default_rng(0)
+            ),
+            lambda p, shots: measure_probabilities(
+                p, shots, np.random.default_rng(0)
+            ),
+        ],
+        ids=["estimate_probabilities", "measure_probabilities"],
+    )
+    def test_bad_shots_raise_measurement_error(self, sample, shots):
+        with pytest.raises(MeasurementError, match="shots"):
+            sample(np.array([0.5, 0.5]), shots)
+
+    def test_sub_normalized_estimate_keeps_total(self):
+        """A lossy state's estimate sums to its norm squared, not to 1."""
+        state = np.array([[0.5, 0.3], [0.5, 0.4], [0.0, 0.1]])
+        exact = estimate_probabilities(state, None)
+        sampled = estimate_probabilities(
+            state, 10000, rng=np.random.default_rng(1)
+        )
+        np.testing.assert_allclose(
+            sampled.sum(axis=0), exact.sum(axis=0), rtol=1e-12, atol=0
+        )
+        assert np.allclose(sampled, exact, atol=0.02)
+
+    def test_paths_agree_under_one_seed(self):
+        state = np.array([[0.5, 0.3], [0.5, 0.4], [0.0, 0.1]])
+        via_state = estimate_probabilities(
+            state, 500, rng=np.random.default_rng(4)
+        )
+        via_probs = measure_probabilities(
+            np.abs(state) ** 2, 500, np.random.default_rng(4)
+        )
+        assert np.array_equal(via_state, via_probs)
+
+    def test_measure_leaves_empty_column_zero(self):
+        p = np.array([[0.3, 0.0], [0.1, 0.0]])
+        est = measure_probabilities(p, 50, np.random.default_rng(3))
+        assert np.array_equal(est[:, 1], [0.0, 0.0])
+        assert est[:, 0].sum() == pytest.approx(0.4)
 
 
 class TestExpectation:

@@ -56,6 +56,8 @@ PAPER_LR = 14
 
 MATCH_TOL = 1e-10
 MIN_CPUS = 4
+#: Micro-batcher window of every served session (the CLI's default).
+SERVER_FLUSH_LATENCY = 0.002
 
 # sustained-load gate
 SUSTAINED_RATE = 1200.0     # offered req/s
@@ -95,7 +97,7 @@ def _codec(seed: int = 2024) -> Codec:
 def measure_fidelity() -> Dict:
     """Socket round-trips vs the in-process codec (always gated)."""
     codec = _codec()
-    session = codec.session(flush_latency=None)
+    session = codec.session(flush_latency=SERVER_FLUSH_LATENCY)
     rng = np.random.default_rng(7)
     X = np.abs(rng.normal(size=(25, PAPER_DIM))) + 0.05
     x_hat_local = codec.forward(X).x_hat
@@ -139,7 +141,7 @@ def measure_fidelity() -> Dict:
 def measure_sustained() -> Dict:
     """Open-loop throughput against an unthrottled session."""
     codec = _codec()
-    session = codec.session(flush_latency=None)
+    session = codec.session(flush_latency=SERVER_FLUSH_LATENCY)
     try:
         with ServerHarness(session, max_inflight=4096) as harness:
             load = asyncio.run(run_load(
@@ -161,7 +163,7 @@ def measure_sustained() -> Dict:
 def measure_burst() -> Dict:
     """2x-capacity burst against a deterministically throttled session."""
     codec = _codec()
-    session = codec.session(flush_latency=None)
+    session = codec.session(flush_latency=SERVER_FLUSH_LATENCY)
     faulty = FaultInjectingSession(session)
     faulty.delay_next(10 ** 9, BURST_TICK_DELAY_S)
     try:

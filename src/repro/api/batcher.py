@@ -1,18 +1,23 @@
 """:class:`MicroBatcher` — accumulate single requests into GEMM-sized ticks.
 
-The ROADMAP's serving item: individual inference requests (one image
-each) are worth almost nothing to a BLAS-backed pipeline — the win comes
-from batching them into one ``(N, M)`` tick and serving the tick with a
-single matrix product.  The batcher implements the standard micro-batching
-policy:
+Individual inference requests (one image each) are worth almost nothing
+to a BLAS-backed pipeline — the win comes from batching them into one
+``(N, M)`` tick and serving the tick with a single matrix product.  The
+batcher owns the whole tick schedule:
 
 - a tick flushes as soon as ``max_batch_size`` requests are pending
   (*size trigger*, served inline on the submitting thread — no idle wait
-  under load), or
-- ``flush_latency`` seconds after the first pending request arrived
-  (*latency trigger*, a daemon timer — bounded tail latency under trickle
-  traffic), or
-- when the caller invokes :meth:`flush` / :meth:`close` explicitly.
+  under load);
+- with ``flush_latency`` set, one daemon *flusher thread* (started by the
+  first :meth:`submit`, stopped by :meth:`close`) fires adaptive ticks.
+  It keeps an EWMA tick target — ``0.5 * target + 0.5 * backlog`` per
+  tick, starting at 1 and clipped to ``max_batch_size`` — and fires as
+  soon as the backlog reaches it.  Below the target it waits up to
+  ``flush_latency`` for tick-mates, but never past the earliest queued
+  deadline (less a wake-up margin).  Bursts grow the target toward wide, GEMM-efficient
+  ticks; trickle traffic decays it to 1, so a lone request is served at
+  once;
+- the caller may also :meth:`flush` / :meth:`close` explicitly.
 
 Each :meth:`submit` returns a :class:`concurrent.futures.Future`
 resolving to that request's reconstructed ``(N,)`` vector, so callers
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from concurrent.futures import Future
 from typing import List, Optional, Tuple
 
@@ -47,6 +53,16 @@ __all__ = ["MicroBatcher"]
 #: (sample, future, absolute monotonic deadline or None)
 _Entry = Tuple[np.ndarray, Future, Optional[float]]
 
+#: Seconds before the earliest queued deadline that a clipped tick fires,
+#: to cover the flusher's wake-up, its wait for the interpreter lock (up
+#: to the 5 ms switch interval) and the drain.  On 2 busy CPUs a 1 ms
+#: margin let 2 of 400 clipped requests expire at drain; 5 ms let none.
+_DEADLINE_MARGIN = 5e-3
+
+#: How often an idle flusher thread checks whether its batcher was
+#: garbage-collected without :meth:`MicroBatcher.close`.
+_IDLE_POLL = 1.0
+
 
 class MicroBatcher:
     """Request accumulator in front of an :class:`InferenceSession`.
@@ -60,9 +76,9 @@ class MicroBatcher:
     max_batch_size:
         Tick width that triggers an immediate flush.
     flush_latency:
-        Seconds after the first pending request before a timer flush;
-        ``None`` disables the timer (size/manual flushes only — the
-        deterministic mode the tests and benchmarks use).
+        Longest wait, in seconds, for tick-mates once the flusher thread
+        sees a backlog below its target; ``None`` starts no flusher (size/manual flushes only — the
+        deterministic mode the in-process tests and benchmarks use).
 
     Examples
     --------
@@ -98,9 +114,11 @@ class MicroBatcher:
         self.session = session
         self.max_batch_size = int(max_batch_size)
         self.flush_latency = flush_latency
-        self._lock = threading.Lock()
+        self._cond = threading.Condition()
         self._pending: List[_Entry] = []
-        self._timer: Optional[threading.Timer] = None
+        self._window_start: Optional[float] = None
+        self._tick_target = 1.0
+        self._flusher: Optional[threading.Thread] = None
         self._closed = False
         # -- stats (read via the `stats` property) ---------------------
         self._served = 0
@@ -114,17 +132,8 @@ class MicroBatcher:
     @property
     def pending(self) -> int:
         """Requests waiting for the next tick."""
-        with self._lock:
+        with self._cond:
             return len(self._pending)
-
-    @property
-    def oldest_pending_deadline(self) -> Optional[float]:
-        """Earliest absolute deadline among queued requests (``None``
-        when empty or none carry deadlines) — the front-end's adaptive
-        flusher reads this to fire ticks before work goes stale."""
-        with self._lock:
-            deadlines = [d for _, _, d in self._pending if d is not None]
-        return min(deadlines) if deadlines else None
 
     @property
     def stats(self) -> dict:
@@ -132,11 +141,13 @@ class MicroBatcher:
 
         Every counter is monotone non-decreasing over the batcher's
         lifetime; ``queue_depth`` (= ``pending``, kept for
-        back-compat) is the only gauge.  ``flush_latency`` is the
+        back-compat) and ``tick_target`` (the flusher's EWMA backlog
+        target) are gauges; ``window_s`` echoes ``flush_latency``, and
+        the ``flush_latency`` key is the
         :meth:`~repro.serving.stats.LatencyHistogram.summary` of
         wall-clock seconds each tick spent in the session call.
         """
-        with self._lock:
+        with self._cond:
             return {
                 "served_requests": self._served,
                 "ticks": self._ticks,
@@ -145,6 +156,8 @@ class MicroBatcher:
                 "queue_depth": len(self._pending),
                 "rejected_requests": self._rejected,
                 "expired_requests": self._expired,
+                "tick_target": round(self._tick_target, 3),
+                "window_s": self.flush_latency,
                 "flush_latency": self._flush_hist.summary(),
             }
 
@@ -182,29 +195,28 @@ class MicroBatcher:
                     "divides by its norm)"
                 )
         except ServingError:
-            with self._lock:
+            with self._cond:
                 self._rejected += 1
             raise
         future: Future = Future()
         batch = None
-        with self._lock:
+        with self._cond:
             if self._closed:
                 self._rejected += 1
                 raise ServingError("micro-batcher is closed")
             self._pending.append((arr, future, deadline))
             if len(self._pending) >= self.max_batch_size:
                 batch = self._drain_locked()
-            elif self.flush_latency is not None and self._timer is None:
-                # The callback closes over its own timer object so a
-                # stale firing (cancelled after it already started) can
-                # recognise it was superseded and stand down.
-                timer = threading.Timer(
-                    self.flush_latency,
-                    lambda: self._timer_flush(timer),
-                )
-                timer.daemon = True
-                timer.start()
-                self._timer = timer
+            elif self.flush_latency is not None:
+                if self._flusher is None:
+                    self._flusher = threading.Thread(
+                        target=_flush_loop,
+                        args=(weakref.ref(self), self._cond),
+                        name="repro-batcher-flush",
+                        daemon=True,
+                    )
+                    self._flusher.start()
+                self._cond.notify()
         if batch is not None:
             self._serve(batch)
         return future
@@ -213,16 +225,23 @@ class MicroBatcher:
         """Serve everything pending now; returns how many requests were
         actually delivered (caller-cancelled and deadline-expired ones
         are excluded, matching ``stats['served_requests']``)."""
-        with self._lock:
+        with self._cond:
             batch = self._drain_locked()
         return self._serve(batch)
 
     def close(self) -> None:
-        """Flush pending requests and reject future submits (idempotent)."""
-        with self._lock:
+        """Flush pending requests, stop the flusher thread and reject
+        future submits (idempotent)."""
+        with self._cond:
             self._closed = True
             batch = self._drain_locked()
+            self._cond.notify()
+            flusher = self._flusher
         self._serve(batch)
+        # A future's done-callback may close the batcher from the
+        # flusher thread itself, which cannot join itself.
+        if flusher is not None and flusher is not threading.current_thread():
+            flusher.join()
 
     def __enter__(self) -> "MicroBatcher":
         return self
@@ -234,24 +253,38 @@ class MicroBatcher:
     # internals
     # ------------------------------------------------------------------
     def _drain_locked(self) -> List[_Entry]:
-        """Take the pending list and disarm the timer; caller holds lock."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        """Take the pending list and close the flusher's window; caller
+        holds the lock."""
         batch, self._pending = self._pending, []
+        self._window_start = None
         return batch
 
-    def _timer_flush(self, timer: threading.Timer) -> None:
-        with self._lock:
-            if self._timer is not timer:
-                # A size-triggered or manual drain already consumed the
-                # requests this timer was armed for (cancel() cannot stop
-                # a timer that has started firing) — possibly arming a
-                # newer timer for fresher requests.  Stand down rather
-                # than flush someone else's partial tick early.
-                return
-            batch = self._drain_locked()
-        self._serve(batch)
+    def _tick_wait_locked(self) -> Optional[float]:
+        """The adaptive tick policy; caller holds the lock.
+
+        Returns how many seconds the flusher should still wait for
+        tick-mates (``None``: nothing is pending), or ``0.0`` when a tick
+        is due — in which case its backlog is already folded into the
+        EWMA target.
+        """
+        if not self._pending:
+            return None
+        backlog = len(self._pending)
+        if backlog < round(self._tick_target):
+            if self._window_start is None:
+                self._window_start = time.monotonic()
+            fire_at = self._window_start + self.flush_latency
+            deadlines = [d for _, _, d in self._pending if d is not None]
+            if deadlines:
+                fire_at = min(fire_at, min(deadlines) - _DEADLINE_MARGIN)
+            wait = fire_at - time.monotonic()
+            if wait > 0:
+                return wait
+        self._tick_target = min(
+            float(self.max_batch_size),
+            0.5 * self._tick_target + 0.5 * backlog,
+        )
+        return 0.0
 
     def _serve(self, batch: List[_Entry]) -> int:
         """Run one tick outside the lock: one GEMM for the whole batch.
@@ -276,7 +309,7 @@ class MicroBatcher:
                     )
                 )
         if expired:
-            with self._lock:
+            with self._cond:
                 self._expired += len(expired)
             alive = [
                 entry for entry in batch
@@ -298,7 +331,7 @@ class MicroBatcher:
         try:
             out = self.session.reconstruct(tick)
         except Exception as exc:
-            with self._lock:
+            with self._cond:
                 self._flush_hist.record(time.perf_counter() - t0)
             for _, future in live:
                 future.set_exception(exc)
@@ -306,7 +339,7 @@ class MicroBatcher:
         seconds = time.perf_counter() - t0
         # Count before resolving: a caller that reads stats() after its
         # result must see its own request served.
-        with self._lock:
+        with self._cond:
             self._served += len(live)
             self._ticks += 1
             self._largest_tick = max(self._largest_tick, len(alive))
@@ -321,3 +354,21 @@ class MicroBatcher:
             f"MicroBatcher(max_batch_size={self.max_batch_size}, "
             f"flush_latency={self.flush_latency}, {state})"
         )
+
+
+def _flush_loop(ref: "weakref.ref[MicroBatcher]", cond) -> None:
+    """Body of a batcher's flusher thread; each tick is a
+    :meth:`MicroBatcher.flush`.  It waits holding only a weak reference,
+    so a batcher dropped without :meth:`~MicroBatcher.close` is still
+    collected and the thread exits within ``_IDLE_POLL`` seconds."""
+    while True:
+        with cond:
+            batcher = ref()
+            if batcher is None or batcher._closed:
+                return
+            wait = batcher._tick_wait_locked()
+            if wait is None or wait > 0:
+                batcher = None
+                cond.wait(_IDLE_POLL if wait is None else wait)
+                continue
+        batcher.flush()

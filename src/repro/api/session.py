@@ -351,11 +351,14 @@ class InferenceSession:
         """Enqueue one ``(N,)`` request; returns a ``Future`` of its
         reconstruction.
 
-        Requests accumulate into ``(N, M)`` ticks (flushed at
-        ``max_batch_size`` or after ``flush_latency`` seconds) so each
-        tick costs one GEMM regardless of arrival pattern.  ``deadline``
-        (absolute ``time.monotonic()``) drops the request at drain time
-        if it expires while queued — see
+        Requests accumulate into ``(N, M)`` ticks so each tick costs one
+        GEMM regardless of arrival pattern: a tick fires inline at
+        ``max_batch_size``, or from the batcher's flusher thread once
+        the backlog reaches its adaptive target, after waiting up to
+        ``flush_latency`` for tick-mates, or just before the earliest
+        queued deadline.  ``deadline`` (absolute
+        ``time.monotonic()``) drops the request at drain time if it
+        expires while queued — see
         :meth:`MicroBatcher.submit <repro.api.batcher.MicroBatcher.submit>`.
         """
         if self._closed:

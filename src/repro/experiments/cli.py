@@ -312,8 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
                          "(0 = none; clients may send their own)")
     pv.add_argument("--max-batch", type=int, default=64,
                     help="micro-batcher tick-width cap")
-    pv.add_argument("--batch-window-ms", type=float, default=2.0,
-                    help="max time a queued request waits for tick-mates")
+    pv.add_argument("--batch-window-ms", dest="flush_latency_ms",
+                    type=float, default=2.0,
+                    help="micro-batcher flush_latency: max time a queued "
+                         "single request waits for tick-mates")
     pv.add_argument("--duration", type=float, default=0.0,
                     help="seconds to serve before draining "
                          "(0 = until SIGINT/SIGTERM)")
@@ -679,7 +681,8 @@ def _run_serve(args: argparse.Namespace) -> dict:
         codec = Codec(seed=args.seed)
     pool = _apply_backend_override(codec, args.backend)
     session = codec.session(
-        max_batch_size=args.max_batch, flush_latency=None, pool=pool,
+        max_batch_size=args.max_batch,
+        flush_latency=args.flush_latency_ms / 1000.0, pool=pool,
         noise=_noise_from_args(args),
         noise_trajectories=args.noise_trajectories,
     )
@@ -703,7 +706,6 @@ def _run_serve(args: argparse.Namespace) -> dict:
             port=args.port,
             max_inflight=args.max_inflight,
             default_deadline_ms=args.deadline_ms,
-            batch_window=args.batch_window_ms / 1000.0,
         ))
     except KeyboardInterrupt:  # pragma: no cover - signal path races
         stats = {"server": {}, "batcher": {}}

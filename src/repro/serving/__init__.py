@@ -14,7 +14,7 @@ model.npz``) or in-process::
     from repro.api import Codec
     from repro.serving import ServerHarness, ServingClient
 
-    session = Codec.load("model.npz").session(flush_latency=None)
+    session = Codec.load("model.npz").session(flush_latency=0.002)
     with ServerHarness(session) as harness:
         with ServingClient(harness.host, harness.port) as client:
             payload = client.compress(X)

@@ -1,7 +1,7 @@
 """Asyncio network front-end over :class:`~repro.api.session.InferenceSession`.
 
-This is the layer that turns the in-process serving stack (PR 3's
-micro-batcher, PR 4's pool-attached ticks) into something external
+This is the layer that turns the in-process serving stack (the
+micro-batcher and its pool-attached ticks) into something external
 traffic can hit.  One listening socket speaks two dialects:
 
 - the **binary protocol** of :mod:`repro.serving.protocol` for
@@ -23,11 +23,11 @@ Production semantics, in one place:
   dropped at tick-drain time — *before* the GEMM — and answered with
   error code 408, so a backlog of dead requests cannot waste FLOPs.
 - **Adaptive tick sizing.**  Single-sample reconstruct requests stream
-  through :meth:`InferenceSession.submit`; a flusher task fires the
-  micro-batcher when the backlog reaches an EWMA-adapted target (bursts
-  grow the target toward wide, GEMM-efficient ticks; trickle traffic
-  decays it so the ``batch_window`` latency bound dominates), clipped by
-  the earliest queued deadline so a tight budget flushes early.
+  through :meth:`InferenceSession.submit`; the session's
+  :class:`~repro.api.batcher.MicroBatcher` owns the tick schedule (an
+  EWMA backlog target, a ``flush_latency`` window and deadline-clipped
+  early ticks, all on its own flusher thread), so the front-end never
+  fires a tick itself.
 - **Graceful drain.**  :meth:`stop` refuses new work (503), serves every
   admitted request, waits out an attached
   :class:`~repro.parallel.pool.WorkerPool` via its drain hook, then
@@ -76,10 +76,11 @@ class ServingFrontend:
     ----------
     session:
         The compiled :class:`~repro.api.session.InferenceSession` to
-        serve.  Construct it with ``flush_latency=None`` — the
-        front-end's adaptive flusher owns the tick schedule, and the
-        session's ``max_batch_size`` then acts as the inline
-        size-trigger cap on tick width.
+        serve.  Its micro-batcher's ``flush_latency`` must be set (it
+        bounds how long a single-sample request waits for tick-mates);
+        a session built with ``flush_latency=None`` would never serve
+        single requests and raises :class:`ServingError`.  The
+        session's ``max_batch_size`` caps tick width.
     host, port:
         Bind address; port 0 picks a free port (read :attr:`port` after
         :meth:`start`).
@@ -89,10 +90,6 @@ class ServingFrontend:
     default_deadline_ms:
         Deadline applied to requests that do not carry their own
         (0 disables).
-    batch_window:
-        Upper bound (seconds) a queued single-sample request waits
-        before its tick fires when traffic is too thin to reach the
-        adaptive target.
     drain_timeout:
         Seconds :meth:`stop` waits for admitted work (and the attached
         worker pool) before closing connections anyway.
@@ -105,31 +102,28 @@ class ServingFrontend:
         port: int = 0,
         max_inflight: int = 256,
         default_deadline_ms: int = 0,
-        batch_window: float = 0.002,
         drain_timeout: float = 10.0,
     ) -> None:
         if max_inflight < 1:
             raise ServingError(
                 f"max_inflight must be >= 1, got {max_inflight}"
             )
-        if batch_window <= 0:
+        if session.batcher.flush_latency is None:
             raise ServingError(
-                f"batch_window must be > 0, got {batch_window}"
+                "session has flush_latency=None: single requests would "
+                "wait forever for a tick; build it with a flush_latency"
             )
         self.session = session
         self.host = host
         self._requested_port = port
         self.max_inflight = int(max_inflight)
         self.default_deadline_ms = int(default_deadline_ms)
-        self.batch_window = float(batch_window)
         self.drain_timeout = float(drain_timeout)
         self._server: Optional[asyncio.AbstractServer] = None
-        self._flusher_task: Optional[asyncio.Task] = None
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-tick"
         )
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._work = asyncio.Event()
         self._stopping = False
         self._started_at = time.monotonic()
         self._writers: set = set()
@@ -137,7 +131,6 @@ class ServingFrontend:
         #    snapshots) ---------------------------------------------------
         self._inflight = 0
         self._max_inflight_seen = 0
-        self._tick_target = 1.0
         self._counters: Dict[str, int] = {
             "accepted": 0,
             "served": 0,
@@ -164,7 +157,7 @@ class ServingFrontend:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> "ServingFrontend":
-        """Bind the socket and start the flusher; returns ``self``."""
+        """Bind the socket; returns ``self``."""
         if self._server is not None:
             raise ServingError("front-end already started")
         self._loop = asyncio.get_running_loop()
@@ -172,7 +165,6 @@ class ServingFrontend:
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self._requested_port
         )
-        self._flusher_task = asyncio.ensure_future(self._flusher())
         return self
 
     async def serve_forever(self) -> None:
@@ -188,7 +180,7 @@ class ServingFrontend:
         """Graceful drain: refuse new work, serve admitted work, close.
 
         Idempotent.  Ordering matters: the listener closes first (no new
-        admissions), the flusher keeps ticking until every admitted
+        admissions), the batcher keeps ticking until every admitted
         request is answered (or ``drain_timeout`` passes), the attached
         worker pool drains, and only then do connections close.
         """
@@ -200,14 +192,7 @@ class ServingFrontend:
             await self._server.wait_closed()
         deadline = time.monotonic() + self.drain_timeout
         while self._inflight and time.monotonic() < deadline:
-            self._work.set()
             await asyncio.sleep(0.005)
-        if self._flusher_task is not None:
-            self._flusher_task.cancel()
-            try:
-                await self._flusher_task
-            except asyncio.CancelledError:
-                pass
         pool = getattr(self.session, "pool", None)
         if pool is not None:
             remaining = max(0.0, deadline - time.monotonic())
@@ -218,49 +203,6 @@ class ServingFrontend:
         for writer in list(self._writers):
             writer.close()
         self._writers.clear()
-
-    # ------------------------------------------------------------------
-    # adaptive flusher
-    # ------------------------------------------------------------------
-    async def _flusher(self) -> None:
-        """Fire micro-batcher ticks sized to the observed backlog.
-
-        Policy: wake on admission; if the backlog is below the adaptive
-        target, wait out the remaining batch window (clipped by the
-        earliest queued deadline) for more arrivals; flush; fold the
-        flushed backlog into the EWMA target.  Under burst the target
-        climbs (wide ticks, few GEMMs); under trickle it decays to 1 and
-        the window bound keeps tail latency flat.
-        """
-        batcher = self.session.batcher
-        loop = asyncio.get_running_loop()
-        while True:
-            await self._work.wait()
-            if batcher.pending == 0:
-                self._work.clear()
-                if self._stopping and self._inflight == 0:
-                    self._work.set()  # stay responsive to stop()
-                    await asyncio.sleep(0.005)
-                continue
-            target = max(1, int(round(self._tick_target)))
-            if batcher.pending < target and not self._stopping:
-                wait = self.batch_window
-                nearest = batcher.oldest_pending_deadline
-                if nearest is not None:
-                    # Flush early enough that a queued deadline is never
-                    # missed just because the window was still open.
-                    wait = min(wait, max(0.0,
-                                         nearest - time.monotonic() - 1e-4))
-                if wait > 0:
-                    await asyncio.sleep(wait)
-            backlog = batcher.pending
-            if backlog == 0:
-                continue
-            await loop.run_in_executor(self._executor, batcher.flush)
-            self._tick_target = min(
-                float(max(1, self.max_inflight)),
-                0.5 * self._tick_target + 0.5 * float(backlog),
-            )
 
     # ------------------------------------------------------------------
     # connection handling
@@ -364,12 +306,12 @@ class ServingFrontend:
                 # Single sample: ride the micro-batcher so concurrent
                 # clients share GEMM ticks.
                 future = self.session.submit(arrays[0], deadline=deadline)
-                self._work.set()
                 result = [await asyncio.wrap_future(future)]
             else:
                 # Batch-shaped work is already tick-sized: run it as its
-                # own job on the serving executor (same thread as the
-                # flusher's ticks, so GEMMs never oversubscribe).
+                # own job on the one-thread serving executor, off the
+                # event loop (micro-batched ticks run on the batcher's
+                # flusher thread), so batch GEMMs queue behind each other.
                 result = await loop.run_in_executor(
                     self._executor,
                     lambda: self._run_batch_job(frame.type, arrays, deadline),
@@ -451,9 +393,7 @@ class ServingFrontend:
                 "inflight": self._inflight,
                 "max_inflight": self.max_inflight,
                 "max_inflight_observed": self._max_inflight_seen,
-                "tick_target": round(self._tick_target, 3),
                 "default_deadline_ms": self.default_deadline_ms,
-                "batch_window_s": self.batch_window,
                 "uptime_s": time.monotonic() - self._started_at,
                 "draining": self._stopping,
                 "dim": self.session.dim,

@@ -138,12 +138,13 @@ class ServerHarness:
     >>> from repro.api import Codec
     >>> codec = Codec(dim=4, compressed_dim=2, compression_layers=2,
     ...               reconstruction_layers=2)
-    >>> session = codec.session(flush_latency=None)
+    >>> session = codec.session(flush_latency=0.002)
     >>> from repro.serving.client import ServingClient
     >>> with ServerHarness(session) as harness:
     ...     with ServingClient(harness.host, harness.port) as client:
     ...         client.ping()
     True
+    >>> session.close()
     """
 
     def __init__(self, session, **frontend_kwargs) -> None:

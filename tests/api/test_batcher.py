@@ -1,5 +1,8 @@
 """Tests for repro.api.batcher (MicroBatcher)."""
 
+import gc
+import sys
+import threading
 import time
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from repro.api import InferenceSession, MicroBatcher
 from repro.exceptions import ServingError
 from repro.network.autoencoder import QuantumAutoencoder
+from repro.serving import FaultInjectingSession
 
 
 def _session(**kwargs):
@@ -113,6 +117,38 @@ class TestLifecycle:
             batcher.submit(_requests(m=1)[0])
         batcher.close()  # idempotent
 
+    def test_flusher_is_one_thread_stopped_by_close(self):
+        """Latency-triggered ticks share one long-lived flusher thread;
+        close() still serves what is pending, then stops it."""
+        faulty = FaultInjectingSession(_session(flush_latency=0.005))
+        batcher = faulty.batcher
+        X = _requests(m=20)
+        before = set(threading.enumerate())
+        for x in X:
+            assert batcher.submit(x).result(timeout=5.0).shape == (4,)
+        assert batcher.stats["ticks"] == 20
+        added = set(threading.enumerate()) - before
+        assert len(added) == 1
+        faulty.delay_next(1, 0.3)
+        busy = batcher.submit(X[0])  # the flusher stalls on this tick
+        time.sleep(0.1)
+        queued = batcher.submit(X[1])
+        assert batcher.pending == 1
+        batcher.close()
+        assert queued.result(timeout=0).shape == (4,)
+        assert busy.result(timeout=0).shape == (4,)
+        assert not any(thread.is_alive() for thread in added)
+
+    def test_dropped_batcher_stops_its_flusher(self):
+        batcher = MicroBatcher(_session(), flush_latency=0.005)
+        before = set(threading.enumerate())
+        batcher.submit(_requests(m=1)[0]).result(timeout=5.0)
+        (flusher,) = set(threading.enumerate()) - before
+        del batcher
+        gc.collect()
+        flusher.join(timeout=5.0)
+        assert not flusher.is_alive()
+
     def test_context_manager(self):
         with MicroBatcher(_session(), flush_latency=None) as batcher:
             future = batcher.submit(_requests(m=1)[0])
@@ -123,6 +159,41 @@ class TestLifecycle:
 
     def test_repr(self):
         assert "open" in repr(MicroBatcher(_session(), flush_latency=None))
+
+
+class TestConcurrency:
+    def test_racing_submitters_each_get_their_row(self):
+        """More submitting threads than cores, a tiny switch interval,
+        and size-triggered drains racing the flusher: every request is
+        served exactly once, with its own row."""
+        session = _session()
+        batcher = MicroBatcher(session, max_batch_size=8,
+                               flush_latency=0.001)
+        X = _requests(m=40, seed=3)
+        expected = session.reconstruct(X)
+        results = {}
+
+        def worker(rows):
+            for i in rows:
+                results[i] = batcher.submit(X[i]).result(timeout=10.0)
+
+        threads = [threading.Thread(target=worker, args=(range(k, 40, 8),))
+                   for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+            batcher.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == list(range(40))
+        for i, row in results.items():
+            assert np.allclose(row, expected[i], rtol=0, atol=1e-12)
+        assert batcher.stats["served_requests"] == 40
 
 
 class TestSessionIntegration:

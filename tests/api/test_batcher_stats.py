@@ -160,18 +160,39 @@ class TestDeadlines:
         assert future.result(timeout=1.0).shape == (4,)
         assert batcher.stats["expired_requests"] == 0
 
-    def test_oldest_pending_deadline(self):
-        batcher = MicroBatcher(_session(), flush_latency=None)
-        assert batcher.oldest_pending_deadline is None
-        batcher.submit(_requests(m=1)[0])
-        assert batcher.oldest_pending_deadline is None
-        t1 = time.monotonic() + 5.0
-        t2 = time.monotonic() + 1.0
-        batcher.submit(_requests(m=1)[0], deadline=t1)
-        batcher.submit(_requests(m=1)[0], deadline=t2)
-        assert batcher.oldest_pending_deadline == t2
-        batcher.flush()
-        assert batcher.oldest_pending_deadline is None
+    def test_lone_request_beats_a_longer_window(self):
+        """A request whose deadline is shorter than ``flush_latency``
+        is served by the flusher, not left to expire in the window."""
+        batcher = MicroBatcher(_session(), flush_latency=5.0)
+        try:
+            future = batcher.submit(_requests(m=1)[0],
+                                    deadline=time.monotonic() + 0.5)
+            assert future.result(timeout=2.0).shape == (4,)
+            assert batcher.stats["expired_requests"] == 0
+        finally:
+            batcher.close()
+
+    def test_deadline_clips_the_window_of_a_wide_target(self):
+        """Once a burst has raised the tick target above 1, a lone
+        request waits for tick-mates — but only until just before its
+        deadline, even when that is far shorter than the window."""
+        faulty = FaultInjectingSession(_session(flush_latency=5.0))
+        batcher = faulty.batcher
+        X = _requests(m=8)
+        try:
+            faulty.delay_next(1, 0.2)
+            first = batcher.submit(X[0])  # its tick stalls the flusher
+            time.sleep(0.05)
+            burst = [batcher.submit(x) for x in X[1:]]  # one wide tick
+            for future in [first, *burst]:
+                assert future.result(timeout=2.0).shape == (4,)
+            assert batcher.stats["tick_target"] > 1.0
+            deadline = time.monotonic() + 0.3
+            lone = batcher.submit(X[0], deadline=deadline)
+            assert lone.result(timeout=2.0).shape == (4,)
+            assert batcher.stats["expired_requests"] == 0
+        finally:
+            batcher.close()
 
 
 class TestFlushHistogram:

@@ -40,7 +40,7 @@ def _x(seed=2):
 @pytest.fixture()
 def served():
     codec = _codec()
-    session = codec.session(flush_latency=None)
+    session = codec.session(flush_latency=0.002)
     faulty = FaultInjectingSession(session)
     with ServerHarness(faulty) as harness:
         yield harness, faulty
@@ -181,7 +181,7 @@ class TestWorkerPoolTeardown:
         server: the pool respawns lazily on the next tick."""
         codec = _codec()
         pool = WorkerPool(processes=2)
-        session = codec.session(flush_latency=None, pool=pool)
+        session = codec.session(flush_latency=0.002, pool=pool)
         X = np.abs(np.random.default_rng(3).normal(size=(24, 8))) + 0.1
         try:
             with ServerHarness(session) as harness:

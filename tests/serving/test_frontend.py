@@ -21,6 +21,7 @@ from repro.serving import (
     RequestShed,
     ServerHarness,
     ServingClient,
+    ServingFrontend,
     fetch_json,
 )
 from repro.serving import protocol
@@ -39,7 +40,7 @@ def _requests(m=6, seed=1):
 @pytest.fixture()
 def codec_session():
     codec = _codec()
-    session = codec.session(flush_latency=None)
+    session = codec.session(flush_latency=0.002)
     yield codec, session
     session.close()
 
@@ -80,7 +81,22 @@ class TestBasics:
         assert server["accepted"] >= server["served"] >= 1
         assert server["dim"] == 8 and server["compressed_dim"] == 2
         assert server["request_latency"]["count"] >= 1
-        assert stats["batcher"]["served_requests"] >= 1
+        batcher = stats["batcher"]
+        assert batcher["served_requests"] >= 1 and batcher["ticks"] >= 1
+        # The batcher owns the tick schedule, so it reports its knobs.
+        assert batcher["window_s"] == 0.002
+        assert batcher["tick_target"] >= 1.0
+        assert "tick_target" not in server
+        assert not any("window" in key for key in server)
+
+    def test_session_without_flush_latency_is_refused(self, codec_session):
+        """Single requests only ride ticks the batcher's flusher fires; a
+        session built with ``flush_latency=None`` would leave them
+        queued forever, so the front-end refuses it up front."""
+        codec, _ = codec_session
+        session = codec.session(flush_latency=None)
+        with pytest.raises(ServingError, match="flush_latency"):
+            ServingFrontend(session)
 
     def test_unknown_http_path_is_404(self, codec_session):
         _, session = codec_session
@@ -231,7 +247,8 @@ class TestAdaptiveTicks:
         """A pipelined burst must be served in fewer, wider ticks than
         one-request-per-tick — the GEMM amortisation the batcher exists
         for."""
-        _, session = codec_session
+        codec, _ = codec_session
+        session = codec.session(flush_latency=0.01)
         x = _requests()[0]
 
         async def burst(host, port, n=32):
@@ -243,9 +260,12 @@ class TestAdaptiveTicks:
             finally:
                 await client.close()
 
-        with ServerHarness(session, batch_window=0.01) as harness:
-            asyncio.run(burst(harness.host, harness.port))
-            stats = fetch_json(harness.host, harness.port, "/stats")
+        try:
+            with ServerHarness(session) as harness:
+                asyncio.run(burst(harness.host, harness.port))
+                stats = fetch_json(harness.host, harness.port, "/stats")
+        finally:
+            session.close()
         batcher = stats["batcher"]
         assert batcher["served_requests"] == 32
         assert batcher["largest_tick"] >= 2

@@ -220,7 +220,7 @@ class TestCompressedBatchOverSocket:
     def test_socket_compress_is_bit_exact(self):
         codec = Codec(dim=8, compressed_dim=2, compression_layers=3,
                       reconstruction_layers=3, seed=5)
-        session = codec.session(flush_latency=None)
+        session = codec.session(flush_latency=0.002)
         rng = np.random.default_rng(0)
         X = np.abs(rng.normal(size=(9, 8))) + 0.1
         in_process = session.compress(X)
